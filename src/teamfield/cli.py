@@ -8,10 +8,9 @@ convergence failures. Diagnostics are still written on exit 2 so a
 failed run leaves something to inspect.
 
 Stochastic commands refuse to run without --seed; there is no
-wall-clock fallback, outputs must be replayable. Worker count comes
-from the TEAMFIELD_THREADS environment variable (0 or unset picks a
-small automatic value); results are byte-identical across worker
-counts.
+wall-clock fallback, outputs must be replayable. Episodes run in order
+in one thread, each on its own counter-based random stream, so a fixed
+seed gives byte-identical output.
 """
 
 from __future__ import annotations

@@ -3,7 +3,6 @@
 from .errors import BudgetError, ModelError, SpecValidationError, TeamfieldError
 from .spaces import (
     FiniteSpace,
-    KahanSum,
     Kernel,
     ProbVec,
     StatisticMap,
@@ -39,7 +38,6 @@ __all__ = [
     "SpecValidationError",
     "TeamfieldError",
     "FiniteSpace",
-    "KahanSum",
     "Kernel",
     "ProbVec",
     "StatisticMap",

@@ -250,18 +250,3 @@ def emp_measure_exact(actions: Sequence[int], space: FiniteSpace) -> list[Fracti
         counts[a] += 1
     return [Fraction(c, n) for c in counts]
 
-
-class KahanSum:
-    """Compensated accumulator for long cost sums."""
-
-    __slots__ = ("total", "_c")
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self._c = 0.0
-
-    def add(self, x: float) -> None:
-        y = x - self._c
-        t = self.total + y
-        self._c = (t - self.total) - y
-        self.total = t

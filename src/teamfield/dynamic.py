@@ -24,12 +24,20 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._parallel import run_ordered
 from .core.errors import BudgetError, ModelError
-from .core.spaces import KahanSum, Kernel, tv_distance, _freeze
+from .core.spaces import Kernel, tv_distance, _freeze
 from .core.specs import DynamicGameSpec
-from .finite_n import CI_SCALE, EpsilonReport, MIN_MC_REPS, _draw, _philox, _seed_of
-from .mf_static import SolverConfig, simplex_grid
+from .finite_n import (
+    MC_DEVIATION_BUDGET,
+    MIN_MC_REPS,
+    EpsilonReport,
+    _draw,
+    _mc_epsilon,
+    _philox,
+    _seed_of,
+    sample_mean_ci,
+)
+from .mf_static import SolverConfig, damped_fixed_point, kernel_grid
 
 DYN_BR_BUDGET = 1_000_000
 DYN_EXACT_CANDIDATE_BUDGET = 1_000_000
@@ -233,8 +241,7 @@ def mf_dynamic_cost(
     """
     _check_stage_policy(spec, team, pol)
     cost, trans = _flow_tables(spec, team, flows)
-    t_i = spec.teams[team]
-    acc = KahanSum()
+    per_world = []
     for w in range(spec.n_world):
         rho = spec.teams[team].init_kernel[w].copy()
         total = 0.0
@@ -244,8 +251,8 @@ def mf_dynamic_cost(
             total += float((joint * cost[t][w]).sum())
             if t + 1 < spec.horizon:
                 rho = np.einsum("xu,xuz->z", joint, trans[t][w])
-        acc.add(float(spec.prior[w]) * total)
-    return acc.total
+        per_world.append(float(spec.prior[w]) * total)
+    return math.fsum(per_world)
 
 
 def _det_rows(choice: tuple[int, ...], n_actions: int) -> np.ndarray:
@@ -328,7 +335,7 @@ def dynamic_best_response_fixed_flow(
     return DynBrResult(StagePolicy.from_rows(rows), float(value), False)
 
 
-def _soft_stage_rows(spec, team, pol, flows, tau):
+def _soft_stage_rows(spec, team, rows, flows, tau):
     """One-stage-deviation softmax update for every (stage, observation).
 
     Scores are posterior-weighted: the seat's state law comes from a
@@ -344,14 +351,14 @@ def _soft_stage_rows(spec, team, pol, flows, tau):
     for w in range(spec.n_world):
         rho[0, w] = t_i.init_kernel[w]
     for t in range(T - 1):
-        pu = _action_given_state(spec, team, pol, t)
+        pu = t_i.obs_kernels[t] @ rows[t]
         for w in range(spec.n_world):
             joint = rho[t, w][:, None] * pu
             rho[t + 1, w] = np.einsum("xu,xuz->z", joint, trans[t][w])
 
     V = np.zeros((T + 1, spec.n_world, n_x))
     for t in range(T - 1, -1, -1):
-        pu = _action_given_state(spec, team, pol, t)
+        pu = t_i.obs_kernels[t] @ rows[t]
         for w in range(spec.n_world):
             q = cost[t][w] + (
                 np.einsum("xuz,z->xu", trans[t][w], V[t + 1, w]) if trans[t] is not None else 0.0
@@ -370,19 +377,19 @@ def _soft_stage_rows(spec, team, pol, flows, tau):
             weight = float(spec.prior[w]) * rho[t, w]
             score += obs.T @ (weight[:, None] * q)
             norm += obs.T @ weight
-        rows = np.empty_like(score)
+        resp = np.empty_like(score)
         for y in range(score.shape[0]):
             if tau <= 0.0:
-                rows[y] = 0.0
-                rows[y, int(np.argmin(score[y]))] = 1.0
+                resp[y] = 0.0
+                resp[y, int(np.argmin(score[y]))] = 1.0
             elif norm[y] <= 0.0:
-                rows[y] = 1.0 / n_u
+                resp[y] = 1.0 / n_u
             else:
                 z = -(score[y] / norm[y]) / tau
                 z -= z.max()
                 e = np.exp(z)
-                rows[y] = e / e.sum()
-        out.append(rows)
+                resp[y] = e / e.sum()
+        out.append(resp)
     return out
 
 
@@ -404,33 +411,13 @@ def solve_dynamic_mf_fixed_point(
         pols = [StagePolicy.from_rows(cfg.init_rows[i]) for i in range(2)]
         for i in range(2):
             _check_stage_policy(spec, i, pols[i])
-    tau = cfg.smooth_init
-    alpha = cfg.damping
-    iterations = 0
-    settled = False
-    flows = propagate_mf_flow(spec, tuple(pols))
-    while iterations < cfg.max_iters:
-        flows = propagate_mf_flow(spec, tuple(pols))
-        new_pols = []
-        update_tv = 0.0
-        for i in range(2):
-            resp = _soft_stage_rows(spec, i, pols[i], flows, tau)
-            rows = []
-            for t, r in enumerate(resp):
-                old = pols[i].kernels[t].rows
-                nr = (1.0 - alpha) * old + alpha * r
-                update_tv = max(update_tv, max(tv_distance(nr[y], old[y]) for y in range(nr.shape[0])))
-                rows.append(nr)
-            new_pols.append(StagePolicy.from_rows(rows))
-        pols = new_pols
-        iterations += 1
-        if update_tv < cfg.tol:
-            if tau <= cfg.smooth_floor:
-                settled = True
-                break
-            tau = max(tau * cfg.smooth_anneal, cfg.smooth_floor)
-
-    policies = (pols[0], pols[1])
+    rows, flows, iterations, settled = damped_fixed_point(
+        [[k.rows for k in p.kernels] for p in pols],
+        lambda rs: propagate_mf_flow(spec, (StagePolicy.from_rows(rs[0]), StagePolicy.from_rows(rs[1]))),
+        lambda i, rows_i, flows, tau: _soft_stage_rows(spec, i, rows_i, flows, tau),
+        cfg,
+    )
+    policies = (StagePolicy.from_rows(rows[0]), StagePolicy.from_rows(rows[1]))
     induced = propagate_mf_flow(spec, policies)
     consistency = tuple(flows.team_tv(induced, i) for i in range(2))
     br = []
@@ -549,31 +536,19 @@ def simulate_finite_n(
         raise ModelError("team sizes must be >= 1")
     seat_pols = [_seat_policies(spec, i, pols[i], sizes[i]) for i in range(2)]
     seed = _seed_of(rng)
-    results = run_ordered(lambda e: _simulate_episode(spec, sizes, seat_pols, seed, e), range(reps))
+    results = [_simulate_episode(spec, sizes, seat_pols, seed, e) for e in range(reps)]
     counts = np.zeros(spec.n_world)
     flow_acc = [
         np.zeros((spec.n_world, spec.horizon, spec.teams[i].states.size, spec.teams[i].actions.size))
         for i in range(2)
     ]
-    cost_acc = [KahanSum(), KahanSum()]
     vals = [[], []]
     for w0, c1, c2, emp in results:
         counts[w0] += 1
         for i, c in enumerate((c1, c2)):
-            cost_acc[i].add(c)
             vals[i].append(c)
-        for i in range(2):
             flow_acc[i][w0] += emp[i]
-    means = []
-    cis = []
-    for i in range(2):
-        mean = cost_acc[i].total / reps
-        sq = KahanSum()
-        for v in vals[i]:
-            sq.add((v - mean) ** 2)
-        std = math.sqrt(sq.total / (reps - 1))
-        means.append(mean)
-        cis.append(CI_SCALE * std / math.sqrt(reps))
+    stats = [sample_mean_ci(v) for v in vals]
     flows = []
     for i in range(2):
         per_stage = []
@@ -585,8 +560,8 @@ def simulate_finite_n(
             per_stage.append(avg)
         flows.append(tuple(per_stage))
     return SimulationReport(
-        costs=(means[0], means[1]),
-        ci_halfwidth=(cis[0], cis[1]),
+        costs=(stats[0][0], stats[1][0]),
+        ci_halfwidth=(stats[0][1], stats[1][1]),
         flows=(flows[0], flows[1]),
         world_counts=counts,
     )
@@ -595,6 +570,12 @@ def simulate_finite_n(
 def _behavioral_action_kernels(spec, team, pol: StagePolicy) -> list[np.ndarray]:
     """Per-stage P(u | x) with the observation integrated out."""
     return [_action_given_state(spec, team, pol, t) for t in range(spec.horizon)]
+
+
+def _exact_path_count(spec: DynamicGameSpec, sizes: tuple[int, int]) -> int:
+    """Work of the exact enumeration: joint (state, action) branches per stage and world point."""
+    branch = math.prod((t.states.size * t.actions.size) ** n for t, n in zip(spec.teams, sizes))
+    return branch * spec.horizon * spec.n_world
 
 
 def exact_dynamic_cost(
@@ -614,10 +595,7 @@ def exact_dynamic_cost(
     sizes = (int(team_sizes[0]), int(team_sizes[1]))
     pols = [_seat_policies(spec, i, list(seat_pols[i]), sizes[i]) for i in range(2)]
     n_tot = sizes[0] + sizes[1]
-    branch = 1
-    for i in range(2):
-        branch *= (spec.teams[i].states.size * spec.teams[i].actions.size) ** sizes[i]
-    est = branch * spec.horizon * spec.n_world
+    est = _exact_path_count(spec, sizes)
     if est > path_budget:
         raise BudgetError("exact dynamic enumeration", est, path_budget)
 
@@ -626,7 +604,7 @@ def exact_dynamic_cost(
         for i in range(2)
     ]
     seat_team = [0] * sizes[0] + [1] * sizes[1]
-    acc = KahanSum()
+    per_world = []
     for w in range(spec.n_world):
         dist: dict[tuple[int, ...], float] = {}
         for combo in itertools.product(*[range(spec.teams[seat_team[k]].states.size) for k in range(n_tot)]):
@@ -690,8 +668,8 @@ def exact_dynamic_cost(
                             key = tuple(int(b[0]) for b in joint_x)
                             nxt[key] = nxt.get(key, 0.0) + q
             dist = nxt
-        acc.add(float(spec.prior[w]) * total)
-    return acc.total
+        per_world.append(float(spec.prior[w]) * total)
+    return math.fsum(per_world)
 
 
 def _det_stage_policies(spec: DynamicGameSpec, team: int) -> list[StagePolicy]:
@@ -722,29 +700,22 @@ def dynamic_epsilon_estimate(
     deviations, reported with a combined CI halfwidth.
     """
     sizes = (int(team_sizes[0]), int(team_sizes[1]))
-    base = [pols[0], pols[1]]
+    base = (pols[0], pols[1])
     for i in range(2):
         _check_stage_policy(spec, i, base[i])
+    if mode not in ("auto", "exact", "monte-carlo"):
+        raise ModelError(f"unknown mode {mode!r}")
+    n_joint = [
+        (t.actions.size ** t.observations.size) ** (spec.horizon * n) for t, n in zip(spec.teams, sizes)
+    ]
+    if mode == "auto":
+        fits = max(n_joint) <= candidate_budget and _exact_path_count(spec, sizes) <= DYN_EXACT_PATH_BUDGET
+        mode = "exact" if fits else "monte-carlo"
 
-    def exact_possible() -> bool:
+    if mode == "exact":
         for i in range(2):
-            t_i = spec.teams[i]
-            per_seat = (t_i.actions.size ** t_i.observations.size) ** spec.horizon
-            if per_seat ** sizes[i] > candidate_budget:
-                return False
-        branch = 1
-        for i in range(2):
-            branch *= (spec.teams[i].states.size * spec.teams[i].actions.size) ** sizes[i]
-        return branch * spec.horizon * spec.n_world <= DYN_EXACT_PATH_BUDGET
-
-    if mode == "exact" or (mode == "auto" and exact_possible()):
-        for i in range(2):
-            t_i = spec.teams[i]
-            per_seat = (t_i.actions.size ** t_i.observations.size) ** spec.horizon
-            if per_seat ** sizes[i] > candidate_budget:
-                raise BudgetError(
-                    f"team {i} joint deviation candidates", per_seat ** sizes[i], candidate_budget
-                )
+            if n_joint[i] > candidate_budget:
+                raise BudgetError(f"team {i} joint deviation candidates", n_joint[i], candidate_budget)
         eps = []
         for i in range(2):
             cur = exact_dynamic_cost(spec, sizes, ([base[0]] * sizes[0], [base[1]] * sizes[1]), i)
@@ -758,42 +729,29 @@ def dynamic_epsilon_estimate(
             eps.append(cur - best)
         return EpsilonReport(eps=(eps[0], eps[1]), best_deviations=(None, None), method="exact", ci_halfwidth=0.0)
 
-    if mode not in ("auto", "monte-carlo"):
-        raise ModelError(f"unknown mode {mode!r}")
     if rng is None:
         raise ModelError("Monte Carlo epsilon estimates need a seed")
     seed = _seed_of(rng)
-    eps = []
-    worst_ci = 0.0
-    for i in range(2):
-        cur, ci_cur = _sim_team_cost(spec, sizes, (base[0], base[1]), i, reps, seed + 13 * i)
-        best = None
-        best_ci = 0.0
-        steps = round(1.0 / deviation_resolution)
-        t_i = spec.teams[i]
-        grid = simplex_grid(t_i.actions.size, steps)
-        per_stage = len(grid) ** t_i.observations.size
-        if per_stage**spec.horizon > 20_000:
-            raise BudgetError("dynamic deviation kernels", per_stage**spec.horizon, 20_000)
-        cands: list[TeamStagePolicies] = []
-        stage_rows = []
-        for picks in itertools.product(range(len(grid)), repeat=t_i.observations.size):
-            stage_rows.append(grid[list(picks)])
-        for combo in itertools.product(range(len(stage_rows)), repeat=spec.horizon):
-            cands.append(StagePolicy.from_rows([stage_rows[c] for c in combo]))
+    steps = round(1.0 / deviation_resolution)
+    cands = []
+    for i, t_i in enumerate(spec.teams):
+        grid = kernel_grid(
+            spec.horizon * t_i.observations.size,
+            t_i.actions.size,
+            steps,
+            MC_DEVIATION_BUDGET,
+            "dynamic deviation kernels",
+        )
+        devs: list[TeamStagePolicies] = [
+            StagePolicy.from_rows(rows.reshape(spec.horizon, t_i.observations.size, -1)) for rows in grid
+        ]
         if sizes[i] > 1:
-            for det in _det_stage_policies(spec, i):
-                cands.append([det] + [base[i]] * (sizes[i] - 1))
-        for k, cand in enumerate(cands):
-            pair = (cand, base[1]) if i == 0 else (base[0], cand)
-            v, ci = _sim_team_cost(spec, sizes, pair, i, reps, seed + 1_000_000 * (i + 1) + k)
-            if best is None or v < best:
-                best, best_ci = v, ci
-        eps.append(cur - best)
-        worst_ci = max(worst_ci, math.sqrt(ci_cur**2 + best_ci**2))
-    return EpsilonReport(eps=(eps[0], eps[1]), best_deviations=(None, None), method="monte-carlo", ci_halfwidth=worst_ci)
+            devs += [[det] + [base[i]] * (sizes[i] - 1) for det in _det_stage_policies(spec, i)]
+        cands.append(devs)
 
+    def cost(pair, team, r, s):
+        rep = simulate_finite_n(spec, sizes, pair, r, s)
+        return rep.costs[team], rep.ci_halfwidth[team]
 
-def _sim_team_cost(spec, sizes, pols, team, reps, seed) -> tuple[float, float]:
-    rep = simulate_finite_n(spec, sizes, pols, reps, seed)
-    return rep.costs[team], rep.ci_halfwidth[team]
+    eps, ci = _mc_epsilon(cost, base, cands, reps, seed)
+    return EpsilonReport(eps=eps, best_deviations=(None, None), method="monte-carlo", ci_halfwidth=ci)

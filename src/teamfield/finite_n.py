@@ -24,16 +24,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._parallel import run_ordered
 from .core.errors import BudgetError, ModelError
-from .core.spaces import KahanSum, Kernel
+from .core.spaces import Kernel
 from .core.specs import StaticGameSpec
-from .mf_static import simplex_grid
+from .mf_static import kernel_grid
 from .policies import BehavioralPolicy, DetPolicy, TeamPolicy, sample_profile
 
 EXACT_ENUMERATION_BUDGET = 100_000_000
 BR_CANDIDATE_BUDGET = 10_000_000
 MIN_MC_REPS = 100
+MC_DEVIATION_BUDGET = 20_000
 CI_SCALE = 2.58  # normal two-sided 99 percent
 
 
@@ -184,7 +184,7 @@ def exact_cost(inst: FiniteGameInstance, p1: TeamPolicy, p2: TeamPolicy, team: i
     Equals the full sum over the world point, every observation tuple,
     every mixture component, and every action tuple; observations are
     integrated seat by seat before profiles are enumerated. World points
-    accumulate through compensated summation.
+    accumulate through an exactly rounded sum.
     """
     if team not in (0, 1):
         raise ModelError(f"team index {team} out of range")
@@ -192,10 +192,9 @@ def exact_cost(inst: FiniteGameInstance, p1: TeamPolicy, p2: TeamPolicy, team: i
     L1 = team_profile_law(inst, p1, 0)
     L2 = team_profile_law(inst, p2, 1)
     C = inst.cost_tensor(team)
-    acc = KahanSum()
-    for w in range(inst.spec.n_world):
-        acc.add(float(inst.spec.prior[w]) * float(L1[w] @ C[w] @ L2[w]))
-    return acc.total
+    return math.fsum(
+        float(inst.spec.prior[w]) * float(L1[w] @ C[w] @ L2[w]) for w in range(inst.spec.n_world)
+    )
 
 
 def _episode_cost(inst: FiniteGameInstance, p1, p2, team: int, seed: int, episode: int) -> float:
@@ -225,6 +224,18 @@ def _episode_cost(inst: FiniteGameInstance, p1, p2, team: int, seed: int, episod
     return total
 
 
+def sample_mean_ci(values: Sequence[float]) -> tuple[float, float]:
+    """Sample mean and the 99 percent CI halfwidth of that mean.
+
+    Both sums are exactly rounded (math.fsum), so a long run of small
+    episode costs is not swallowed by a few large ones.
+    """
+    n = len(values)
+    mean = math.fsum(values) / n
+    std = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (n - 1))
+    return mean, CI_SCALE * std / math.sqrt(n)
+
+
 def mc_cost(
     inst: FiniteGameInstance,
     p1: TeamPolicy,
@@ -236,23 +247,14 @@ def mc_cost(
     """Monte Carlo estimate of one team's cost with a 99 percent CI halfwidth.
 
     Episode randomness is a counter-based stream keyed by (seed, episode),
-    so estimates do not depend on worker scheduling.
+    so every episode can be replayed on its own.
     """
     if reps < MIN_MC_REPS:
         raise ModelError(f"reps must be >= {MIN_MC_REPS}")
     if team not in (0, 1):
         raise ModelError(f"team index {team} out of range")
     seed = _seed_of(rng)
-    vals = run_ordered(lambda e: _episode_cost(inst, p1, p2, team, seed, e), range(reps))
-    acc = KahanSum()
-    for v in vals:
-        acc.add(v)
-    mean = acc.total / reps
-    sq = KahanSum()
-    for v in vals:
-        sq.add((v - mean) ** 2)
-    std = math.sqrt(sq.total / (reps - 1))
-    return mean, CI_SCALE * std / math.sqrt(reps)
+    return sample_mean_ci([_episode_cost(inst, p1, p2, team, seed, e) for e in range(reps)])
 
 
 def _det_map_laws(inst: FiniteGameInstance, team: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
@@ -338,51 +340,56 @@ class SweepRow:
     ci_halfwidth: float
 
 
-def _mc_epsilon(
-    inst: FiniteGameInstance,
-    base: tuple[TeamPolicy, TeamPolicy],
-    reps: int,
-    seed: int,
-    deviation_resolution: float,
-) -> tuple[tuple[float, float], float]:
-    """Monte Carlo epsilon lower bound over restricted deviation classes.
+def _mc_epsilon(cost, base, candidates, reps: int, seed: int) -> tuple[tuple[float, float], float]:
+    """Monte Carlo epsilon lower bound over given deviation candidates.
 
-    Deviations searched: symmetric behavioral rules on a simplex grid, and
-    one seat switching to a deterministic map while the rest keep the base
-    rule. Both leave the true joint optimum out of reach, which is why the
-    exact path is preferred whenever the budget allows.
+    cost(pair, team, reps, seed) estimates one team's cost under a policy
+    pair as (mean, CI halfwidth). Team i's current cost is sampled on seed
+    seed + 17*i and its k-th candidate in candidates[i] on seed
+    seed + 1_000_000*(i+1) + k; eps_i is the current mean minus the best
+    candidate mean. The reported halfwidth combines those two halfwidths
+    in quadrature and takes the worse team.
     """
-    spec = inst.spec
     eps = []
     worst_ci = 0.0
     for i in range(2):
-        t = spec.teams[i]
-        cur, ci_cur = mc_cost(inst, base[0], base[1], i, reps, seed + 17 * i)
+        cur, ci_cur = cost(base, i, reps, seed + 17 * i)
         best = None
         best_ci = 0.0
-        steps = round(1.0 / deviation_resolution)
-        grid = simplex_grid(t.actions.size, steps)
-        count = len(grid) ** t.observations.size
-        if count > 20_000:
-            raise BudgetError("sweep deviation kernels", count, 20_000)
-        cand_policies = []
-        for picks in itertools.product(range(len(grid)), repeat=t.observations.size):
-            rows = grid[list(picks)]
-            cand_policies.append(TeamPolicy.symmetric_iid(BehavioralPolicy(Kernel(rows))))
-        maps = list(itertools.product(range(t.actions.size), repeat=t.observations.size))
-        n = inst.team_sizes[i]
-        if base[i].kind == "symmetric-iid" and n > 1:
-            for choice in maps:
-                det = BehavioralPolicy.deterministic(DetPolicy(choice), t.actions.size)
-                cand_policies.append(TeamPolicy.product([det] + [base[i].base] * (n - 1)))
-        for k, cand in enumerate(cand_policies):
+        for k, cand in enumerate(candidates[i]):
             pair = (cand, base[1]) if i == 0 else (base[0], cand)
-            v, ci = mc_cost(inst, pair[0], pair[1], i, reps, seed + 1_000_000 * (i + 1) + k)
+            v, ci = cost(pair, i, reps, seed + 1_000_000 * (i + 1) + k)
             if best is None or v < best:
                 best, best_ci = v, ci
         eps.append(cur - best)
         worst_ci = max(worst_ci, math.sqrt(ci_cur**2 + best_ci**2))
     return (eps[0], eps[1]), worst_ci
+
+
+def _static_deviations(
+    inst: FiniteGameInstance, base: tuple[TeamPolicy, TeamPolicy], deviation_resolution: float
+) -> list[list[TeamPolicy]]:
+    """Monte Carlo deviation candidates for both teams.
+
+    Symmetric behavioral rules on a simplex grid, and one seat switching
+    to a deterministic map while the rest keep the base rule. Both leave
+    the true joint optimum out of reach, which is why the exact path is
+    preferred whenever the budget allows.
+    """
+    steps = round(1.0 / deviation_resolution)
+    out = []
+    for i, t in enumerate(inst.spec.teams):
+        grid = kernel_grid(
+            t.observations.size, t.actions.size, steps, MC_DEVIATION_BUDGET, "sweep deviation kernels"
+        )
+        cands = [TeamPolicy.symmetric_iid(BehavioralPolicy(Kernel(rows))) for rows in grid]
+        n = inst.team_sizes[i]
+        if base[i].kind == "symmetric-iid" and n > 1:
+            for choice in itertools.product(range(t.actions.size), repeat=t.observations.size):
+                det = BehavioralPolicy.deterministic(DetPolicy(choice), t.actions.size)
+                cands.append(TeamPolicy.product([det] + [base[i].base] * (n - 1)))
+        out.append(cands)
+    return out
 
 
 def _as_team_policy(p) -> TeamPolicy:
@@ -429,7 +436,13 @@ def epsilon_sweep(
         else:
             if seed is None:
                 raise ModelError("Monte Carlo sweep rows need a seed")
-            eps, ci = _mc_epsilon(inst, base, reps, seed + 31 * (n1 + 7 * n2), deviation_resolution)
+            eps, ci = _mc_epsilon(
+                lambda pair, team, r, s: mc_cost(inst, pair[0], pair[1], team, r, s),
+                base,
+                _static_deviations(inst, base, deviation_resolution),
+                reps,
+                seed + 31 * (n1 + 7 * n2),
+            )
             rows.append(SweepRow(n1, n2, eps, "monte-carlo", ci))
     return rows
 

@@ -4,7 +4,7 @@ Every document this package writes carries ``"schema": "teamfield/v1"``
 and is rendered by a small recursive serializer whose floats go through
 ``{:.17g}``. That format round-trips IEEE doubles exactly and, unlike the
 stdlib's repr-based encoder, pins the byte output down to something we can
-compare across runs and thread counts.
+compare across runs.
 """
 
 from __future__ import annotations

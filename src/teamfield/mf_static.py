@@ -177,6 +177,44 @@ class SolverConfig:
             raise ModelError("smoothing temperature must be >= 0")
         if not 0.0 < self.smooth_anneal < 1.0:
             raise ModelError("smooth_anneal must lie in (0, 1)")
+        if self.smooth_floor <= 0.0:
+            raise ModelError("smooth_floor must be positive")
+
+
+def damped_fixed_point(rows, induce, respond, cfg: SolverConfig):
+    """Damped, annealed best-response iteration shared by both solvers.
+
+    rows[i] lists team i's row matrices: one for a static rule, one per
+    stage for a dynamic rule. Each sweep computes the field induce(rows),
+    replaces every matrix by its damped mix with respond(i, rows[i],
+    field, tau), and anneals tau geometrically down to smooth_floor once
+    the largest per-row TV update drops below tol. Returns the last rows,
+    the field they were answered against, the sweep count, and whether
+    the iteration settled at the floor temperature.
+    """
+    tau = cfg.smooth_init
+    alpha = cfg.damping
+    iterations = 0
+    settled = False
+    while iterations < cfg.max_iters:
+        frozen = induce(rows)
+        new_rows = []
+        update_tv = 0.0
+        for i in range(2):
+            team = []
+            for old, r in zip(rows[i], respond(i, rows[i], frozen, tau)):
+                nr = (1.0 - alpha) * old + alpha * r
+                update_tv = max(update_tv, max(tv_distance(a, b) for a, b in zip(nr, old)))
+                team.append(nr)
+            new_rows.append(team)
+        rows = new_rows
+        iterations += 1
+        if update_tv < cfg.tol:
+            if tau <= cfg.smooth_floor:
+                settled = True
+                break
+            tau = max(tau * cfg.smooth_anneal, cfg.smooth_floor)
+    return rows, frozen, iterations, settled
 
 
 def solve_mf_fixed_point(spec: StaticGameSpec, cfg: Optional[SolverConfig] = None) -> MFEquilibrium:
@@ -198,49 +236,19 @@ def solve_mf_fixed_point(spec: StaticGameSpec, cfg: Optional[SolverConfig] = Non
             r = np.asarray(cfg.init_rows[i], dtype=float)
             if r.shape != (t.observations.size, t.actions.size):
                 raise ModelError(f"init rows for team {i} have the wrong shape")
-            rows.append(r.copy())
+            rows.append([r.copy()])
         else:
-            rows.append(np.full((t.observations.size, t.actions.size), 1.0 / t.actions.size))
+            rows.append([np.full((t.observations.size, t.actions.size), 1.0 / t.actions.size)])
 
-    tau = cfg.smooth_init
-    alpha = cfg.damping
-    iterations = 0
-    settled = False
-    mf = _profile_from_rows(spec, rows)
-    while iterations < cfg.max_iters:
-        mf = _profile_from_rows(spec, rows)
-        new_rows = []
-        update_tv = 0.0
-        for i in range(2):
-            resp = _soft_response_rows(spec, i, mf, tau)
-            nr = (1.0 - alpha) * rows[i] + alpha * resp
-            update_tv = max(update_tv, max(tv_distance(nr[y], rows[i][y]) for y in range(nr.shape[0])))
-            new_rows.append(nr)
-        rows = new_rows
-        iterations += 1
-        if update_tv < cfg.tol:
-            if tau <= cfg.smooth_floor:
-                settled = True
-                break
-            tau = max(tau * cfg.smooth_anneal, cfg.smooth_floor)
-
-    policies = tuple(BehavioralPolicy(Kernel(r)) for r in rows)
-    induced = _profile_from_rows(spec, rows)
-    consistency = tuple(mf.team_tv(induced, i) for i in range(2))
-    br = []
-    for i in range(2):
-        cur = mf_cost(spec, i, policies[i], mf)
-        _, best = best_response_fixed_mf(spec, i, mf)
-        br.append(cur - best)
-    converged = settled and max(consistency) < cfg.tol
-    return MFEquilibrium(
-        policies=policies,
-        mean_fields=mf,
-        br_residual=(br[0], br[1]),
-        consistency_residual=consistency,
-        iterations=iterations,
-        converged=converged,
+    rows, mf, iterations, settled = damped_fixed_point(
+        rows,
+        lambda rs: _profile_from_rows(spec, [rs[0][0], rs[1][0]]),
+        lambda i, _rows, mf, tau: [_soft_response_rows(spec, i, mf, tau)],
+        cfg,
     )
+    eq = _equilibrium(spec, [rows[0][0], rows[1][0]], mf, iterations)
+    eq.converged = settled and max(eq.consistency_residual) < cfg.tol
+    return eq
 
 
 def _profile_from_rows(spec: StaticGameSpec, rows) -> MeanFieldProfile:
@@ -260,6 +268,20 @@ def simplex_grid(n_points: int, steps: int) -> np.ndarray:
         parts.append(steps + n_points - 2 - prev)
         out.append(parts)
     return np.asarray(out, dtype=np.float64) / steps
+
+
+def kernel_grid(n_rows: int, n_actions: int, steps: int, budget: int, what: str):
+    """Every (n_rows, n_actions) kernel whose rows lie on simplex_grid.
+
+    Kernels come lazily, lexicographic in the rows' grid indices with the
+    last row varying fastest. Their count is checked against the budget
+    before the first one is built.
+    """
+    grid = simplex_grid(n_actions, steps)
+    count = len(grid) ** n_rows
+    if count > budget:
+        raise BudgetError(what, count, budget)
+    return (grid[list(picks)] for picks in itertools.product(range(len(grid)), repeat=n_rows))
 
 
 def _grid_candidate_hit(
@@ -350,21 +372,22 @@ def _grid_candidate_hit(
     return rules
 
 
-def _hit_to_equilibrium(spec, rules, candidate) -> MFEquilibrium:
+def _equilibrium(spec, rules, mf, iterations: int) -> MFEquilibrium:
+    """Residuals of rules at the declared mean fields, reported as converged."""
     policies = tuple(BehavioralPolicy(Kernel(r)) for r in rules)
     induced = _profile_from_rows(spec, rules)
-    consistency = tuple(candidate.team_tv(induced, i) for i in range(2))
+    consistency = tuple(mf.team_tv(induced, i) for i in range(2))
     br = []
     for i in range(2):
-        cur = mf_cost(spec, i, policies[i], candidate)
-        _, best = best_response_fixed_mf(spec, i, candidate)
+        cur = mf_cost(spec, i, policies[i], mf)
+        _, best = best_response_fixed_mf(spec, i, mf)
         br.append(cur - best)
     return MFEquilibrium(
         policies=policies,
-        mean_fields=candidate,
+        mean_fields=mf,
         br_residual=(br[0], br[1]),
         consistency_residual=consistency,
-        iterations=0,
+        iterations=iterations,
         converged=True,
     )
 
@@ -406,7 +429,7 @@ def grid_fixed_point_search(
         candidate = MeanFieldProfile(laws=(law1.reshape(-1, n_u1), law2.reshape(-1, spec.teams[1].actions.size)))
         rules = _grid_candidate_hit(spec, candidate, resolution, tie_tol)
         if rules is not None:
-            hits.append(_hit_to_equilibrium(spec, rules, candidate))
+            hits.append(_equilibrium(spec, rules, candidate, 0))
     return hits
 
 
@@ -448,7 +471,7 @@ def _grid_search_binary_one_world(spec, resolution, steps, tie_tol) -> list[MFEq
             if not ti[a, b]:
                 q = pi[a, b]
             rules.append(np.tile([1.0 - q, q], (t.observations.size, 1)))
-        hits.append(_hit_to_equilibrium(spec, rules, candidate))
+        hits.append(_equilibrium(spec, rules, candidate, 0))
     return hits
 
 
@@ -481,15 +504,11 @@ def mf_exploitability(
     devs = []
     for i in range(2):
         t = spec.teams[i]
-        rows_grid = simplex_grid(t.actions.size, steps)
-        count = len(rows_grid) ** t.observations.size
-        if count > max_candidates:
-            raise BudgetError("deviation kernels", count, max_candidates)
+        grid = kernel_grid(t.observations.size, t.actions.size, steps, max_candidates, "deviation kernels")
         cur = mf_cost(spec, i, base[i], _pair_profile(laws, i, laws[i]))
         best = None
         best_rows = None
-        for picks in itertools.product(range(len(rows_grid)), repeat=t.observations.size):
-            rows = rows_grid[list(picks)]
+        for rows in grid:
             own_law = t.obs_kernel @ rows
             J = mf_cost(spec, i, BehavioralPolicy(Kernel(rows)), _pair_profile(laws, i, own_law))
             if best is None or J < best:

@@ -223,6 +223,21 @@ def test_dynamic_epsilon_mc_needs_seed_and_is_deterministic():
     assert a.ci_halfwidth > 0.0
 
 
+def test_dynamic_epsilon_mc_checks_deviation_budget_before_sampling(monkeypatch):
+    import teamfield.dynamic as dynamic
+
+    calls = []
+    monkeypatch.setattr(dynamic, "simulate_finite_n", lambda *args: calls.append(args))
+    spec = load_spec(CROWD)
+    pol = StagePolicy.from_rows([[[0.5, 0.5]], [[0.5, 0.5]]])
+    with pytest.raises(BudgetError) as info:
+        dynamic_epsilon_estimate(
+            spec, (16, 16), (pol, pol), mode="monte-carlo", reps=100, rng=3, deviation_resolution=0.005
+        )
+    assert info.value.required == 201**2
+    assert calls == []
+
+
 def test_stage_policy_shape_validation():
     spec = load_spec(CHAIN)
     with pytest.raises(ModelError):

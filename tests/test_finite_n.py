@@ -309,6 +309,19 @@ def test_epsilon_sweep_mc_fallback_needs_seed():
     assert rows[0].eps == again[0].eps
 
 
+def test_epsilon_sweep_checks_deviation_budget_before_sampling(monkeypatch):
+    import teamfield.finite_n as finite_n
+
+    calls = []
+    monkeypatch.setattr(finite_n, "mc_cost", lambda *args: calls.append(args))
+    spec = load_spec(GAMES / "spread.json")
+    half = BehavioralPolicy.from_rows([[0.5, 0.5]])
+    with pytest.raises(BudgetError) as info:
+        epsilon_sweep(spec, (half, half), [(400, 400)], reps=400, seed=1, deviation_resolution=0.00004)
+    assert info.value.required == 25_001
+    assert calls == []
+
+
 def test_size_pairs():
     assert size_pairs([2, 4], 1.0) == [(2, 2), (4, 4)]
     assert size_pairs([4], 0.5) == [(4, 2)]

@@ -318,6 +318,15 @@ def test_cli_sweep_csv_deterministic_across_workers(tmp_path):
     assert ",exact," in text and ",monte-carlo," in text
 
 
+@pytest.mark.parametrize("command, spec", [("solve-mf", MISMATCH), ("solve-mf-dyn", CROWD)])
+@pytest.mark.parametrize("floor", ["0", "-0.001"])
+def test_cli_rejects_nonpositive_smooth_floor(command, spec, floor):
+    # a floor at or below zero used to anneal tau into a softmax overflow
+    r = _run([command, "--spec", spec, "--smooth-floor", floor])
+    assert r.returncode == 1
+    assert "smooth_floor" in r.stderr
+
+
 def test_cli_eps_dyn_exact(tmp_path):
     out = tmp_path / "eps.json"
     r = _run(

@@ -133,6 +133,9 @@ def test_solver_rejects_bad_config():
         solve_mf_fixed_point(spec, SolverConfig(tol=-1.0))
     with pytest.raises(ModelError):
         solve_mf_fixed_point(spec, SolverConfig(smooth_anneal=1.0))
+    for floor in (0.0, -1e-3):
+        with pytest.raises(ModelError, match="smooth_floor"):
+            solve_mf_fixed_point(spec, SolverConfig(smooth_init=1.0, smooth_floor=floor))
 
 
 def test_grid_search_mismatch_unique_interior_hit():

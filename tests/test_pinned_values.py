@@ -1,0 +1,81 @@
+"""Seeded values pinned across refactors of the sampling and solver paths.
+
+The static Monte Carlo figures and the solver iterates were recorded from
+the implementation that still had separate static and dynamic loops, a
+thread pool and compensated (Kahan) sums; the merged code must reproduce
+them to 1e-12. The dynamic Monte Carlo epsilon is pinned at the value of
+the shared seed scheme (base cost on seed + 17*i).
+"""
+
+import pytest
+
+from teamfield import (
+    BehavioralPolicy,
+    FiniteGameInstance,
+    SolverConfig,
+    StagePolicy,
+    TeamPolicy,
+    dynamic_epsilon_estimate,
+    epsilon_sweep,
+    load_spec,
+    mc_cost,
+    simulate_finite_n,
+    solve_dynamic_mf_fixed_point,
+    solve_mf_fixed_point,
+)
+from tests._paths import GAMES
+
+TOL = 1e-12
+HALF = BehavioralPolicy.from_rows([[0.5, 0.5]])
+
+
+def _uniform(spec):
+    return StagePolicy.uniform(spec, 0), StagePolicy.uniform(spec, 1)
+
+
+def test_mc_cost_pinned():
+    spec = load_spec(GAMES / "spread.json")
+    team = TeamPolicy.symmetric_iid(HALF)
+    mean, ci = mc_cost(FiniteGameInstance(spec, (40, 40)), team, team, 0, 200, 11)
+    assert mean == pytest.approx(0.51229375, abs=TOL)
+    assert ci == pytest.approx(0.003130326648117808, abs=TOL)
+
+
+def test_simulate_finite_n_pinned():
+    spec = load_spec(GAMES / "crowd_avoidance.json")
+    rep = simulate_finite_n(spec, (16, 16), _uniform(spec), 200, 13)
+    assert rep.costs == pytest.approx((1.1364453125, 1.1405859375), abs=TOL)
+    assert rep.ci_halfwidth == pytest.approx((0.019906998444590734, 0.01940986627348546), abs=TOL)
+
+
+def test_monte_carlo_sweep_row_pinned():
+    spec = load_spec(GAMES / "spread.json")
+    row = epsilon_sweep(spec, (HALF, HALF), [(40, 40)], reps=100, seed=5)[0]
+    assert row.method == "monte-carlo"
+    assert row.eps == pytest.approx((0.00041250000000003784, 0.0037875000000000547), abs=TOL)
+    assert row.ci_halfwidth == pytest.approx(0.007023245162170733, abs=TOL)
+
+
+def test_dynamic_monte_carlo_epsilon_pinned():
+    spec = load_spec(GAMES / "crowd_avoidance.json")
+    rep = dynamic_epsilon_estimate(spec, (16, 16), _uniform(spec), reps=100, rng=21, mode="monte-carlo")
+    assert rep.eps == pytest.approx((0.020390624999999885, 0.02742187499999993), abs=TOL)
+    assert rep.ci_halfwidth == pytest.approx(0.03852454468390143, abs=TOL)
+
+
+@pytest.mark.parametrize(
+    "game, solve, iterations, br, consistency",
+    [
+        ("spread", solve_mf_fixed_point, 11, 0.0, 0.0),
+        ("coordination", solve_mf_fixed_point, 11, 0.0, 0.0),
+        ("mf_mismatch", solve_mf_fixed_point, 11, 0.0, 0.0),
+        ("crowd_avoidance", solve_dynamic_mf_fixed_point, 11, 0.0, 0.0),
+        ("state_copies_action", solve_dynamic_mf_fixed_point, 83, 1.2005440974682813e-08, 1.2005441029624023e-08),
+    ],
+)
+def test_solver_iterates_pinned(game, solve, iterations, br, consistency):
+    eq = solve(load_spec(GAMES / f"{game}.json"), SolverConfig(smooth_init=1.0))
+    assert eq.converged
+    assert eq.iterations == iterations
+    assert eq.br_residual == pytest.approx((br, br), abs=TOL)
+    assert eq.consistency_residual == pytest.approx((consistency, consistency), abs=TOL)

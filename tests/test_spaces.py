@@ -1,10 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from teamfield.core.errors import ModelError
 from teamfield.core.spaces import (
     FiniteSpace,
-    KahanSum,
     Kernel,
     ProbVec,
     StatisticMap,
@@ -12,6 +13,7 @@ from teamfield.core.spaces import (
     emp_measure_exact,
     tv_distance,
 )
+from teamfield.finite_n import sample_mean_ci
 
 
 def test_finite_space_labels_must_match_size():
@@ -101,9 +103,8 @@ def test_emp_measure_counts():
 
 
 def test_kahan_handles_adversarial_order():
-    acc = KahanSum()
-    acc.add(1e16)
-    for _ in range(10):
-        acc.add(1.0)
-    acc.add(-1e16)
-    assert acc.total == 10.0
+    # A naive running sum loses every 1.0 against 1e16 and reports a zero mean.
+    values = [1e16] + [1.0] * 10 + [-1e16]
+    mean, ci = sample_mean_ci(values)
+    assert mean == 10.0 / 12
+    assert math.isfinite(ci) and ci > 0.0
