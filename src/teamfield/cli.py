@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from . import io as tfio
 from .core.errors import BudgetError, ModelError, SpecValidationError
@@ -136,6 +137,14 @@ def _emit(doc: dict, out, summary: str) -> None:
         sys.stdout.write(tfio.dumps_stable(doc))
     else:
         tfio.write_json(out, doc)
+        print(f"{summary} -> {out}")
+
+
+def _emit_csv(rows, out, summary: str) -> None:
+    if out is None:
+        sys.stdout.write(tfio.sweep_csv_text(rows))
+    else:
+        tfio.write_sweep_csv(out, rows)
         print(f"{summary} -> {out}")
 
 
@@ -263,26 +272,11 @@ def _cmd_certify(args) -> int:
         deviation_resolution=args.deviation_step,
     )
     row = rows[0]
+    summary = f"certify: eps=({row.eps[0]:.6g},{row.eps[1]:.6g}) [{row.method}]"
     if args.format == "csv":
-        text = tfio.sweep_csv_text(rows)
-        if args.out is None:
-            sys.stdout.write(text)
-        else:
-            from pathlib import Path
-
-            Path(args.out).write_text(text, encoding="utf-8")
-            print(f"certify: eps=({row.eps[0]:.6g},{row.eps[1]:.6g}) [{row.method}] -> {args.out}")
-        return 0
-    rep_doc = {
-        "schema": tfio.SCHEMA,
-        "kind": "epsilon-report",
-        "n1": row.n1,
-        "n2": row.n2,
-        "eps": [float(v) for v in row.eps],
-        "method": row.method,
-        "ci_halfwidth": float(row.ci_halfwidth),
-    }
-    _emit(rep_doc, args.out, f"certify: eps=({row.eps[0]:.6g},{row.eps[1]:.6g}) [{row.method}]")
+        _emit_csv(rows, args.out, summary)
+    else:
+        _emit(tfio.epsilon_report_doc(row, sizes), args.out, summary)
     return 0
 
 
@@ -316,16 +310,10 @@ def _cmd_sweep_n(args) -> int:
         seed=args.seed,
         deviation_resolution=args.deviation_step,
     )
-    summary = f"sweep-n: {len(rows)} row(s), method={rows[0].method if rows else 'n/a'}"
+    by_method = Counter(r.method for r in rows)
+    summary = f"sweep-n: {len(rows)} row(s): " + ", ".join(f"{k} {m}" for m, k in by_method.items())
     if args.format == "csv":
-        text = tfio.sweep_csv_text(rows)
-        if args.out is None:
-            sys.stdout.write(text)
-        else:
-            from pathlib import Path
-
-            Path(args.out).write_text(text, encoding="utf-8")
-            print(f"{summary} -> {args.out}")
+        _emit_csv(rows, args.out, summary)
         return 0
     doc = {
         "schema": tfio.SCHEMA,

@@ -1,18 +1,19 @@
 """Exact and Monte Carlo evaluation of finite teams, and epsilon certificates.
 
-The exact path works on action profiles. Given the world point, each
-seat's observation integrates out in closed form, leaving a per-seat
-action law; a team's profile law is the product (or mixture of products)
-of those. Costs depend on a profile only through one seat's action and
-the empirical count vector, so cost evaluations are deduplicated by count
-class before being expanded to the full profile-indexed tensor. The
-resulting sums equal the full observation-by-observation enumeration
-exactly, and the test suite pins that against a rational-arithmetic
-oracle on small instances.
+The exact path works on count classes: a team's cost reads a joint action
+profile only through one seat's own action and the team's count vector.
+The cost matrix holds the average seat cost at every pair of count
+classes. A team's count law is the convolution of its seats' action laws
+(observations integrated out), one seat at a time; a mixture is the
+weighted sum of its components' convolutions. A deterministic joint
+deviation matters only through the multiset of seat maps it uses, so the
+joint best response walks those multisets, each extending its parent's
+convolution by one seat. Laws live on a dense grid of the first U-1
+counts. The test suite pins all of it against a rational-arithmetic
+oracle and a profile-by-profile enumerator on small instances.
 
 Certification is against the strongest deviation the theory allows: the
-whole team re-optimizes jointly, so the best response is a search over
-joint deterministic profiles, not per-seat improvements.
+whole team re-optimizes jointly, not seat by seat.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .core.specs import StaticGameSpec
 from .mf_static import kernel_grid
 from .policies import BehavioralPolicy, DetPolicy, TeamPolicy, sample_profile
 
-EXACT_ENUMERATION_BUDGET = 100_000_000
+EXACT_ENUMERATION_BUDGET = 10_000_000
 BR_CANDIDATE_BUDGET = 10_000_000
 MIN_MC_REPS = 100
 MC_DEVIATION_BUDGET = 20_000
@@ -59,7 +60,7 @@ def _draw(cum: np.ndarray, r) -> np.ndarray:
 class FiniteGameInstance:
     """A static game together with the two team sizes.
 
-    Profile tables and cost tensors are cached on first use; everything
+    Count classes and cost matrices are cached on first use; everything
     stored here is immutable after construction.
     """
 
@@ -69,72 +70,91 @@ class FiniteGameInstance:
             raise ModelError("team sizes must be >= 1")
         self.spec = spec
         self.team_sizes = (n1, n2)
-        self._tables: dict[int, dict] = {}
+        self._classes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._cost_tensors: dict[int, np.ndarray] = {}
 
-    def n_profiles(self, team: int) -> int:
-        return self.spec.teams[team].actions.size ** self.team_sizes[team]
+    def exact_work(self) -> list[tuple[str, int, int]]:
+        """What the exact path needs, as (what, required, budget) rows.
 
-    def enumeration_count(self) -> int:
-        return self.spec.n_world * self.n_profiles(0) * self.n_profiles(1)
+        Row 0 is the cost matrix: W * C1 * C2 entries over count classes,
+        or W times a team's dense count grid (N+1)^(U-1) if that is larger,
+        which takes four or more actions against a much smaller team. Row
+        1 + i is team i's best response: multisets of seat maps times its
+        count grid times W. Pure arithmetic, nothing is allocated.
+        """
+        n_w = self.spec.n_world
+        classes, grids, multisets = [], [], []
+        for t, n in zip(self.spec.teams, self.team_sizes):
+            classes.append(math.comb(n + t.actions.size - 1, n))
+            grids.append((n + 1) ** (t.actions.size - 1))
+            multisets.append(math.comb(n + t.actions.size**t.observations.size - 1, n))
+        rows = [("exact cost matrix entries", n_w * max(classes[0] * classes[1], *grids), EXACT_ENUMERATION_BUDGET)]
+        return rows + [(f"team {i} best-response work", multisets[i] * grids[i] * n_w, BR_CANDIDATE_BUDGET) for i in range(2)]
 
-    def check_exact_budget(self, budget: int = EXACT_ENUMERATION_BUDGET) -> None:
-        count = self.enumeration_count()
-        if count > budget:
-            raise BudgetError("exact enumeration", count, budget)
+    def check_exact_budget(self, teams: Sequence[int] = ()) -> None:
+        """Raise BudgetError if the cost matrix, or a listed team's best response, is over budget."""
+        rows = self.exact_work()
+        for what, required, budget in [rows[0]] + [rows[1 + i] for i in teams]:
+            if required > budget:
+                raise BudgetError(what, required, budget)
 
-    def profile_table(self, team: int) -> dict:
-        if team not in self._tables:
-            n_u = self.spec.teams[team].actions.size
+    def count_classes(self, team: int) -> tuple[np.ndarray, np.ndarray]:
+        """The team's count vectors, shape (C, U), and their flat positions on the count grid."""
+        if team not in self._classes:
             n = self.team_sizes[team]
-            P = n_u**n
-            digits = np.empty((P, n), dtype=np.int64)
-            idx = np.arange(P)
-            for k in range(n - 1, -1, -1):
-                digits[:, k] = idx % n_u
-                idx //= n_u
-            counts = np.zeros((P, n_u), dtype=np.int64)
-            for k in range(n):
-                np.add.at(counts, (np.arange(P), digits[:, k]), 1)
-            classes, cid = np.unique(counts, axis=0, return_inverse=True)
-            stat = self.spec.teams[team].statistic
-            svals = [stat.apply_raw(c.astype(np.float64) / n) for c in classes]
-            self._tables[team] = {
-                "digits": digits,
-                "freq": counts.astype(np.float64) / n,
-                "cid": cid,
-                "svals": svals,
-            }
-        return self._tables[team]
+            k = self.spec.teams[team].actions.size - 1
+            grid = np.indices((n + 1,) * k).reshape(k, -1).T if k else np.zeros((1, 0), dtype=np.int64)
+            pos = np.flatnonzero(grid.sum(axis=1) <= n)
+            counts = np.column_stack([grid[pos], n - grid[pos].sum(axis=1)])
+            self._classes[team] = (counts, pos)
+        return self._classes[team]
 
     def cost_tensor(self, team: int) -> np.ndarray:
-        """C[w, p1, p2]: average seat cost of `team` at every profile pair."""
+        """C[w, c1, c2]: average seat cost of `team` at every pair of count classes."""
         if team not in self._cost_tensors:
             self.check_exact_budget()
             spec = self.spec
-            tab1, tab2 = self.profile_table(0), self.profile_table(1)
-            sv1, sv2 = tab1["svals"], tab2["svals"]
-            n_u = spec.teams[team].actions.size
+            stats = []
+            for i, t in enumerate(spec.teams):
+                # the scalar view every cost family reads: the embedding mean,
+                # or the index mean for an identity statistic
+                vec = t.statistic.embedding if t.statistic.scalar else np.arange(t.actions.size)
+                stats.append(self.count_classes(i)[0] / self.team_sizes[i] @ vec)
+            s1, s2 = stats[0][:, None], stats[1][None, :]
+            own = self.count_classes(team)[0].T / self.team_sizes[team]
+            own = own[:, :, None] if team == 0 else own[:, None, :]
             cost = spec.teams[team].cost
-            cval = np.empty((spec.n_world, n_u, len(sv1), len(sv2)))
+            C = np.zeros((spec.n_world, len(stats[0]), len(stats[1])))
             for w in range(spec.n_world):
-                for u in range(n_u):
-                    for a, s1 in enumerate(sv1):
-                        for b, s2 in enumerate(sv2):
-                            cval[w, u, a, b] = cost.value(w, u, s1, s2)
-            gathered = cval[:, :, tab1["cid"], :][:, :, :, tab2["cid"]]
-            freq = tab1["freq"] if team == 0 else tab2["freq"]
-            sub = "pu,wupq->wpq" if team == 0 else "qu,wupq->wpq"
-            C = np.einsum(sub, freq, gathered)
+                for u, f in enumerate(own):
+                    C[w] += f * cost.value_batch(w, u, s1, s2)
             C.flags.writeable = False
             self._cost_tensors[team] = C
         return self._cost_tensors[team]
 
 
-def _seat_action_laws(inst: FiniteGameInstance, p: TeamPolicy, team: int) -> Optional[list[np.ndarray]]:
-    """Per-seat action laws given the world point, or None for mixtures."""
-    spec = inst.spec
-    t = spec.teams[team]
+def _add_seat(law: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Count law after one more independent seat with action law a.
+
+    law ends in k = U-1 grid axes of length g, the counts of actions 0 to
+    U-2; a ends in the U actions and matches law's leading axes. Action
+    u < U-1 moves mass one step along axis u, the last action leaves the
+    grid coordinates as they are.
+    """
+    k = a.shape[-1] - 1
+    g = law.shape[-1] if k else 0
+    out = np.zeros(law.shape[: law.ndim - k] + (g + 1,) * k)
+    axes = (None,) * k
+    out[(Ellipsis,) + (slice(0, g),) * k] = law * a[(Ellipsis, k) + axes]
+    for u in range(k):
+        box = tuple(slice(1, g + 1) if v == u else slice(0, g) for v in range(k))
+        out[(Ellipsis,) + box] += law * a[(Ellipsis, u) + axes]
+    return out
+
+
+def _seat_laws(inst: FiniteGameInstance, p: TeamPolicy, team: int) -> list[tuple[float, list[np.ndarray]]]:
+    """The policy as (weight, per-seat action laws given the world point) terms of independent seats."""
+    t = inst.spec.teams[team]
     n = inst.team_sizes[team]
 
     def law_of(kernel_rows) -> np.ndarray:
@@ -143,58 +163,54 @@ def _seat_action_laws(inst: FiniteGameInstance, p: TeamPolicy, team: int) -> Opt
         return t.obs_kernel @ kernel_rows
 
     if p.kind == "symmetric-iid":
-        a = law_of(p.base.kernel.rows)
-        return [a] * n
+        return [(1.0, [law_of(p.base.kernel.rows)] * n)]
     if p.kind == "product":
         if len(p.members) != n:
             raise ModelError(f"team {team} product policy has {len(p.members)} seats, expected {n}")
-        return [law_of(m.kernel.rows) for m in p.members]
-    return None
+        return [(1.0, [law_of(m.kernel.rows) for m in p.members])]
+    if p.n_dms != n:
+        raise ModelError(f"team {team} mixture policy has {p.n_dms} seats, expected {n}")
+    return [(w, [law_of(d.as_kernel(t.actions.size).rows) for d in profile]) for w, profile in p.components]
 
 
-def _law_product(seat_laws: Sequence[np.ndarray]) -> np.ndarray:
-    """Profile law from independent seats, seat 0 most significant."""
-    n_world = seat_laws[0].shape[0]
-    law = np.ones((n_world, 1))
+def _count_law(inst: FiniteGameInstance, team: int, seat_laws: Sequence[np.ndarray]) -> np.ndarray:
+    """Count law of independent seats on the team's count classes, one row per world point."""
+    law = np.ones((inst.spec.n_world,) + (1,) * (inst.spec.teams[team].actions.size - 1))
     for a in seat_laws:
-        law = (law[:, :, None] * a[:, None, :]).reshape(n_world, -1)
-    return law
+        law = _add_seat(law, a)
+    return law.reshape(inst.spec.n_world, -1)[:, inst.count_classes(team)[1]]
 
 
 def team_profile_law(inst: FiniteGameInstance, p: TeamPolicy, team: int) -> np.ndarray:
-    """Law over the team's joint action profiles, one row per world point."""
-    spec = inst.spec
-    t = spec.teams[team]
-    n = inst.team_sizes[team]
-    seat_laws = _seat_action_laws(inst, p, team)
-    if seat_laws is not None:
-        return _law_product(seat_laws)
-    if p.n_dms != n:
-        raise ModelError(f"team {team} mixture policy has {p.n_dms} seats, expected {n}")
-    law = np.zeros((spec.n_world, inst.n_profiles(team)))
-    for w_c, profile in p.components:
-        per_seat = [t.obs_kernel @ d.as_kernel(t.actions.size).rows for d in profile]
-        law += w_c * _law_product(per_seat)
-    return law
+    """Law over the team's count classes (columns as in count_classes), one row per world point."""
+    return sum(w * _count_law(inst, team, laws) for w, laws in _seat_laws(inst, p, team))
+
+
+def _class_values(inst: FiniteGameInstance, opponent: TeamPolicy, team: int) -> np.ndarray:
+    """D[w, c] = prior_w * C[w] @ L_opp[w]: the team's prior-weighted cost at own class c."""
+    L_opp = team_profile_law(inst, opponent, 1 - team)
+    sub = "wpq,wq->wp" if team == 0 else "wpq,wp->wq"
+    return inst.spec.prior[:, None] * np.einsum(sub, inst.cost_tensor(team), L_opp)
+
+
+def _contract(law: np.ndarray, values: np.ndarray) -> float:
+    """Expected cost of a count law: one dot product per world point, summed exactly."""
+    return math.fsum(float(law[w] @ values[w]) for w in range(len(values)))
 
 
 def exact_cost(inst: FiniteGameInstance, p1: TeamPolicy, p2: TeamPolicy, team: int) -> float:
     """Exact expected average seat cost of one team.
 
-    Equals the full sum over the world point, every observation tuple,
-    every mixture component, and every action tuple; observations are
-    integrated seat by seat before profiles are enumerated. World points
-    accumulate through an exactly rounded sum.
+    fsum over world points of prior_w * L1[w] @ C[w] @ L2[w], with L the
+    teams' count laws and C the class cost matrix. Equals the full sum
+    over the world point, every observation tuple, every mixture
+    component and every action tuple.
     """
     if team not in (0, 1):
         raise ModelError(f"team index {team} out of range")
     inst.check_exact_budget()
-    L1 = team_profile_law(inst, p1, 0)
-    L2 = team_profile_law(inst, p2, 1)
-    C = inst.cost_tensor(team)
-    return math.fsum(
-        float(inst.spec.prior[w]) * float(L1[w] @ C[w] @ L2[w]) for w in range(inst.spec.n_world)
-    )
+    own, opp = (p1, p2) if team == 0 else (p2, p1)
+    return _contract(team_profile_law(inst, own, team), _class_values(inst, opp, team))
 
 
 def _episode_cost(inst: FiniteGameInstance, p1, p2, team: int, seed: int, episode: int) -> float:
@@ -261,54 +277,69 @@ def _det_map_laws(inst: FiniteGameInstance, team: int) -> tuple[list[tuple[int, 
     """All deterministic maps for one seat with their induced action laws."""
     t = inst.spec.teams[team]
     maps = list(itertools.product(range(t.actions.size), repeat=t.observations.size))
-    A = np.empty((len(maps), inst.spec.n_world, t.actions.size))
-    for m, choice in enumerate(maps):
-        A[m] = t.obs_kernel @ DetPolicy(choice).as_kernel(t.actions.size).rows
-    return maps, A
+    return maps, np.stack([t.obs_kernel @ np.eye(t.actions.size)[list(m)] for m in maps])
 
 
-def _candidate_values(inst: FiniteGameInstance, opponent: TeamPolicy, team: int) -> tuple[np.ndarray, list]:
-    """Exact team cost for every joint deterministic profile of `team`.
+def _best_multiset(A: np.ndarray, values: np.ndarray, n: int) -> list[int]:
+    """Seats per map of the best multiset of n deterministic seat maps.
 
-    Candidates are ordered lexicographically: seat 0 varies slowest and
-    each seat's maps are ordered as action tuples.
+    A[m] holds map m's action law per world point, values[w, x] the
+    prior-weighted cost at count-grid point x. The last map takes the
+    seats the others leave. It plays the last action at every signal, so
+    its seats leave the grid point where it is, and a node of j seats on
+    the other maps is scored on the grid box [0, j]^(U-1). A node of level
+    j + 1 is a node of level j plus one seat on a map no lower than its
+    last one, so every multiset is met once and each law extends its
+    parent's. Levels stay sorted by seat counts, most seats on map 0
+    first, so equal values go to the lexicographically smallest profile
+    in map order.
     """
-    n = inst.team_sizes[team]
-    opp = 1 - team
-    maps, A = _det_map_laws(inst, team)
-    n_cand = len(maps) ** n
-    if n_cand > BR_CANDIDATE_BUDGET:
-        raise BudgetError("best-response candidates", n_cand, BR_CANDIDATE_BUDGET)
-    L_opp = team_profile_law(inst, opponent, opp)
-    C = inst.cost_tensor(team)
-    if team == 0:
-        D = np.einsum("wpq,wq->wp", C, L_opp)
-    else:
-        D = np.einsum("wpq,wp->wq", C, L_opp)
-    D = inst.spec.prior[:, None] * D
-    T = np.ones((1, inst.spec.n_world, 1))
-    for _ in range(n):
-        T = np.einsum("cwi,mwu->cmwiu", T, A).reshape(T.shape[0] * len(maps), inst.spec.n_world, -1)
-    values = np.einsum("cwp,wp->c", T, D)
-    return values, maps
+    M, n_w, n_u = A.shape
+    if M == 1:
+        return [n]
+    k = n_u - 1
+    values = values.reshape((n_w,) + (n + 1,) * k)
+    law = np.ones((1, n_w) + (1,) * k)
+    last = np.zeros(1, dtype=np.int64)
+    counts = np.zeros((1, M - 1), dtype=np.int64)
+    best = (math.inf, ())
+    for j in range(n + 1):
+        v = (law * values[(Ellipsis,) + (slice(0, j + 1),) * k]).reshape(len(law), -1).sum(axis=1)
+        pick = int(np.argmin(v))
+        best = min(best, (float(v[pick]), tuple(-counts[pick])))
+        if j == n:
+            break
+        kids = M - 1 - last  # children per node, in map order
+        par = np.repeat(np.arange(len(last)), kids)
+        last = np.arange(len(par)) - np.repeat(np.cumsum(kids) - kids, kids) + last[par]
+        law = _add_seat(law[par], A[last])
+        counts = counts[par]
+        counts[np.arange(len(par)), last] += 1
+    head = [-c for c in best[1]]
+    return head + [n - sum(head)]
 
 
 def team_best_response_exact(
     inst: FiniteGameInstance, opponent: TeamPolicy, team: int
 ) -> tuple[list[DetPolicy], float]:
-    """Globally optimal joint deterministic profile against a fixed opponent."""
-    values, maps = _candidate_values(inst, opponent, team)
-    best = int(np.argmin(values))
-    n = inst.team_sizes[team]
-    M = len(maps)
-    picks = []
-    rem = best
-    for _ in range(n):
-        picks.append(rem % M)
-        rem //= M
-    picks.reverse()
-    profile = [DetPolicy(maps[m]) for m in picks]
-    return profile, float(values[best])
+    """Globally optimal joint deterministic profile against a fixed opponent.
+
+    Searches the multisets of deterministic seat maps over the count
+    classes and returns the winner as a profile in map order. Its value
+    goes through the same contraction as exact_cost, so a current policy
+    with the winner's count law certifies exactly zero.
+    """
+    if team not in (0, 1):
+        raise ModelError(f"team index {team} out of range")
+    inst.check_exact_budget((team,))
+    values = _class_values(inst, opponent, team)
+    maps, A = _det_map_laws(inst, team)
+    grid = np.zeros((inst.spec.n_world, (inst.team_sizes[team] + 1) ** (A.shape[2] - 1)))
+    grid[:, inst.count_classes(team)[1]] = values
+    counts = _best_multiset(A, grid, inst.team_sizes[team])
+    picks = [m for m, c in enumerate(counts) for _ in range(c)]
+    law = _count_law(inst, team, [A[m] for m in picks])
+    return [DetPolicy(maps[m]) for m in picks], _contract(law, values)
 
 
 @dataclass
@@ -321,8 +352,7 @@ class EpsilonReport:
 
 def epsilon_ne_certify(inst: FiniteGameInstance, p1: TeamPolicy, p2: TeamPolicy) -> EpsilonReport:
     """Exact epsilon certificate: current cost minus joint best response, per team."""
-    eps = []
-    devs = []
+    eps, devs = [], []
     for i, opp in ((0, p2), (1, p1)):
         cur = exact_cost(inst, p1, p2, i)
         profile, val = team_best_response_exact(inst, opp, i)
@@ -421,16 +451,9 @@ def epsilon_sweep(
     for n1, n2 in sizes:
         inst = FiniteGameInstance(spec, (n1, n2))
         for i, n in enumerate((n1, n2)):
-            if base[i].n_dms is not None and base[i].n_dms != n:
-                raise ModelError(
-                    f"team {i} policy is bound to {base[i].n_dms} seats, row asks for {n}"
-                )
-        exact_ok = inst.enumeration_count() <= EXACT_ENUMERATION_BUDGET
-        for i in range(2):
-            t = spec.teams[i]
-            n_cand = (t.actions.size ** t.observations.size) ** inst.team_sizes[i]
-            exact_ok = exact_ok and n_cand <= BR_CANDIDATE_BUDGET
-        if exact_ok:
+            if base[i].n_dms not in (None, n):
+                raise ModelError(f"team {i} policy is bound to {base[i].n_dms} seats, row asks for {n}")
+        if all(required <= budget for _, required, budget in inst.exact_work()):
             rep = epsilon_ne_certify(inst, base[0], base[1])
             rows.append(SweepRow(n1, n2, rep.eps, "exact", 0.0))
         else:
@@ -458,34 +481,6 @@ def size_pairs(ns: Sequence[int], ratio: float = 1.0) -> list[tuple[int, int]]:
             raise ModelError("team sizes must be >= 1")
         out.append((n1, max(1, int(round(n1 * ratio)))))
     return out
-
-
-def check_exchangeable_br_value(
-    inst: FiniteGameInstance, opponent: TeamPolicy, team: int
-) -> tuple[float, float]:
-    """Best joint deterministic value vs best symmetrized deterministic value.
-
-    The second minimum runs over seat-permutation averages of the same
-    candidates, so agreement says restricting the team to exchangeable
-    policies costs nothing against an exchangeable opponent.
-    """
-    values, maps = _candidate_values(inst, opponent, team)
-    v_all = float(values.min())
-    n = inst.team_sizes[team]
-    M = len(maps)
-    n_cand = len(values)
-    digits = np.empty((n_cand, n), dtype=np.int64)
-    idx = np.arange(n_cand)
-    for k in range(n - 1, -1, -1):
-        digits[:, k] = idx % M
-        idx //= M
-    weights = M ** np.arange(n - 1, -1, -1)
-    orbit_sum = np.zeros(n_cand)
-    perms = list(itertools.permutations(range(n)))
-    for sigma in perms:
-        orbit_sum += values[digits[:, list(sigma)] @ weights]
-    v_exch = float(orbit_sum.min() / len(perms))
-    return v_all, v_exch
 
 
 def sample_team_actions(

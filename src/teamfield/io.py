@@ -259,7 +259,8 @@ def dynamic_equilibrium_doc(eq: DynamicMFEquilibrium) -> dict:
     }
 
 
-def epsilon_report_doc(rep: EpsilonReport, team_sizes) -> dict:
+def epsilon_report_doc(rep: Union[EpsilonReport, SweepRow], team_sizes) -> dict:
+    """The epsilon-report document of a certificate or of one sweep row."""
     return {
         "schema": SCHEMA,
         "kind": "epsilon-report",

@@ -50,6 +50,33 @@ def random_static_spec(rng: np.random.Generator, max_size: int = 3) -> StaticGam
     )
 
 
+THREE_SIGNAL_DOC = {
+    "kind": "static",
+    "world": 1,
+    "prior": [1.0],
+    "teams": [
+        {
+            "actions": 2,
+            "observations": 3,
+            "obs_kernel": [[0.5, 0.3, 0.2]],
+            "statistic": {"kind": "mean-embedding", "embedding": [0.0, 1.0]},
+            "cost": {"family": "team-coordination"},
+        }
+    ]
+    * 2,
+}
+
+
+def three_signal_spec() -> StaticGameSpec:
+    """Fixed game with 3 observations and 2 actions, so 8 seat maps.
+
+    Its joint best response is searched over C(N+7, 7) multisets of maps,
+    which outgrows the exact budgets well before N=40, so sweeps at that
+    size take the Monte Carlo path.
+    """
+    return StaticGameSpec.from_dict(THREE_SIGNAL_DOC)
+
+
 def random_behavioral(rng, n_obs, n_actions) -> BehavioralPolicy:
     return BehavioralPolicy.from_rows(_rows(rng, n_obs, n_actions))
 

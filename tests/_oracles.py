@@ -1,9 +1,10 @@
 """Independent reference computations the tests compare against.
 
 Everything here is written the slow, obvious way: direct enumeration
-over joint profiles with exact rational probabilities, and plain loops
-for chain propagation. None of it shares code with the package's
-vectorized paths, which is the point.
+over joint profiles with exact rational probabilities, seat-by-seat
+enumeration of joint action profiles and joint deterministic deviations,
+and plain loops for chain propagation. None of it shares code with the
+package's count-class paths, which is the point.
 """
 
 from __future__ import annotations
@@ -103,6 +104,118 @@ def oracle_exact_cost(spec, p1, p2, team_sizes, team):
                 c = _profile_team_cost(spec, team, w, (prof1, prof2))
                 terms.append(float(pw * q1 * q2) * c)
     return math.fsum(terms)
+
+
+def _profile_table(spec, team, n):
+    """Per-profile action frequencies, count-class ids and per-class statistics.
+
+    Profiles are action tuples with seat 0 most significant.
+    """
+    n_u = spec.teams[team].actions.size
+    P = n_u**n
+    digits = np.empty((P, n), dtype=np.int64)
+    idx = np.arange(P)
+    for k in range(n - 1, -1, -1):
+        digits[:, k] = idx % n_u
+        idx //= n_u
+    counts = np.zeros((P, n_u), dtype=np.int64)
+    for k in range(n):
+        np.add.at(counts, (np.arange(P), digits[:, k]), 1)
+    classes, cid = np.unique(counts, axis=0, return_inverse=True)
+    stat = spec.teams[team].statistic
+    svals = [stat.apply_raw(c.astype(np.float64) / n) for c in classes]
+    return counts.astype(np.float64) / n, cid.reshape(-1), svals
+
+
+def profile_cost_tensor(spec, team_sizes, team):
+    """C[w, p1, p2]: average seat cost of `team` at every joint action profile pair."""
+    (f1, cid1, sv1), (f2, cid2, sv2) = (_profile_table(spec, i, team_sizes[i]) for i in range(2))
+    n_u = spec.teams[team].actions.size
+    cost = spec.teams[team].cost
+    cval = np.empty((spec.n_world, n_u, len(sv1), len(sv2)))
+    for w in range(spec.n_world):
+        for u in range(n_u):
+            for a, s1 in enumerate(sv1):
+                for b, s2 in enumerate(sv2):
+                    cval[w, u, a, b] = cost.value(w, u, s1, s2)
+    gathered = cval[:, :, cid1, :][:, :, :, cid2]
+    if team == 0:
+        return np.einsum("pu,wupq->wpq", f1, gathered)
+    return np.einsum("qu,wupq->wpq", f2, gathered)
+
+
+def _law_product(seat_laws):
+    """Profile law of independent seats, seat 0 most significant."""
+    law = np.ones((seat_laws[0].shape[0], 1))
+    for a in seat_laws:
+        law = (law[:, :, None] * a[:, None, :]).reshape(law.shape[0], -1)
+    return law
+
+
+def profile_law(spec, policy, n, team):
+    """Law over the team's joint action profiles, one row per world point."""
+    t = spec.teams[team]
+    if policy.kind == "mixture":
+        terms = [(w, [d.as_kernel(t.actions.size).rows for d in prof]) for w, prof in policy.components]
+    elif policy.kind == "product":
+        terms = [(1.0, [m.kernel.rows for m in policy.members])]
+    else:
+        terms = [(1.0, [policy.base.kernel.rows] * n)]
+    return sum(w * _law_product([t.obs_kernel @ rows for rows in seats]) for w, seats in terms)
+
+
+def profile_exact_cost(spec, p1, p2, team_sizes, team):
+    """Expected team cost by summing over every joint action profile pair."""
+    L1 = profile_law(spec, p1, team_sizes[0], 0)
+    L2 = profile_law(spec, p2, team_sizes[1], 1)
+    C = profile_cost_tensor(spec, team_sizes, team)
+    return math.fsum(float(spec.prior[w]) * float(L1[w] @ C[w] @ L2[w]) for w in range(spec.n_world))
+
+
+def candidate_values(spec, opponent, team_sizes, team):
+    """Exact team cost of every joint deterministic profile, and the seat maps.
+
+    Candidates are ordered lexicographically: seat 0 varies slowest and
+    each seat's maps are ordered as action tuples.
+    """
+    t = spec.teams[team]
+    n = team_sizes[team]
+    maps = list(itertools.product(range(t.actions.size), repeat=t.observations.size))
+    A = np.stack([t.obs_kernel @ np.eye(t.actions.size)[list(m)] for m in maps])
+    L_opp = profile_law(spec, opponent, team_sizes[1 - team], 1 - team)
+    C = profile_cost_tensor(spec, team_sizes, team)
+    D = np.einsum("wpq,wq->wp", C, L_opp) if team == 0 else np.einsum("wpq,wp->wq", C, L_opp)
+    D = spec.prior[:, None] * D
+    T = np.ones((1, spec.n_world, 1))
+    for _ in range(n):
+        T = np.einsum("cwi,mwu->cmwiu", T, A).reshape(T.shape[0] * len(maps), spec.n_world, -1)
+    return np.einsum("cwp,wp->c", T, D), maps
+
+
+def check_exchangeable_br_value(inst, opponent, team):
+    """Best joint deterministic value vs best symmetrized deterministic value.
+
+    The second minimum runs over seat-permutation averages of the same
+    candidates, so agreement says restricting the team to exchangeable
+    policies costs nothing against an exchangeable opponent.
+    """
+    values, maps = candidate_values(inst.spec, opponent, inst.team_sizes, team)
+    v_all = float(values.min())
+    n = inst.team_sizes[team]
+    M = len(maps)
+    n_cand = len(values)
+    digits = np.empty((n_cand, n), dtype=np.int64)
+    idx = np.arange(n_cand)
+    for k in range(n - 1, -1, -1):
+        digits[:, k] = idx % M
+        idx //= M
+    weights = M ** np.arange(n - 1, -1, -1)
+    orbit_sum = np.zeros(n_cand)
+    perms = list(itertools.permutations(range(n)))
+    for sigma in perms:
+        orbit_sum += values[digits[:, list(sigma)] @ weights]
+    v_exch = float(orbit_sum.min() / len(perms))
+    return v_all, v_exch
 
 
 def oracle_chain_cost(init, action_given_state, stage_cost, next_rows, horizon):

@@ -23,11 +23,11 @@ from teamfield.dynamic import (
 )
 from teamfield.finite_n import (
     FiniteGameInstance,
-    check_exchangeable_br_value,
     epsilon_sweep,
     exact_cost,
     mc_cost,
     sample_team_actions,
+    team_best_response_exact,
 )
 from teamfield.io import (
     load_spec,
@@ -51,7 +51,7 @@ from tests._gen import (
     random_static_spec,
     random_team_policy,
 )
-from tests._oracles import oracle_chain_cost
+from tests._oracles import check_exchangeable_br_value, oracle_chain_cost, profile_exact_cost
 from tests._paths import GAMES, REPO
 from tests.test_dynamic import _static_lift
 
@@ -80,6 +80,8 @@ def test_criterion_01_exact_cost_permutation_invariant():
         ]
         inst = FiniteGameInstance(spec, (n1, n2))
         base = [exact_cost(inst, p[0], p[1], t) for t in range(2)]
+        for t in range(2):  # count classes agree with the profile-by-profile enumerator
+            assert abs(base[t] - profile_exact_cost(spec, p[0], p[1], (n1, n2), t)) <= 1e-12
         sig1 = tuple(rng.permutation(n1))
         sig2 = tuple(rng.permutation(n2))
         q1 = p[0] if p[0].kind == "symmetric-iid" else permute_profile(p[0], sig1)
@@ -104,6 +106,8 @@ def test_criterion_02_exchangeable_best_response_loses_nothing():
         inst = FiniteGameInstance(spec, (n, n))
         v_all, v_exch = check_exchangeable_br_value(inst, opp_policy, team)
         assert abs(v_all - v_exch) <= 1e-9
+        # the multiset search reaches the best seat-indexed joint profile
+        assert abs(team_best_response_exact(inst, opp_policy, team)[1] - v_all) <= 1e-12
         done += 1
     clock.check()
 

@@ -7,7 +7,6 @@ from teamfield.core.errors import BudgetError, ModelError
 from teamfield.core.specs import StaticGameSpec
 from teamfield.finite_n import (
     FiniteGameInstance,
-    check_exchangeable_br_value,
     epsilon_ne_certify,
     epsilon_sweep,
     exact_cost,
@@ -25,8 +24,8 @@ from teamfield.policies import (
     TeamPolicy,
     permute_profile,
 )
-from tests._gen import random_static_spec, random_team_policy
-from tests._oracles import oracle_exact_cost
+from tests._gen import random_behavioral, random_static_spec, random_team_policy, three_signal_spec
+from tests._oracles import check_exchangeable_br_value, oracle_exact_cost
 from tests._paths import GAMES
 
 
@@ -88,6 +87,43 @@ def test_profile_law_sums_to_one():
     np.testing.assert_allclose(L.sum(axis=1), 1.0, atol=1e-12)
 
 
+def test_count_law_mass_at_400_seats_and_3_actions():
+    rng = np.random.default_rng(78)
+    team = {
+        "actions": 3,
+        "observations": 2,
+        "obs_kernel": [[0.7, 0.3], [0.2, 0.8]],
+        "statistic": {"kind": "identity"},
+        "cost": {"family": "constant", "params": {"value": 1.0}},
+    }
+    spec = StaticGameSpec.from_dict({"kind": "static", "world": 2, "prior": [0.4, 0.6], "teams": [team, team]})
+    inst = FiniteGameInstance(spec, (400, 1))
+    counts, _ = inst.count_classes(0)
+    assert counts.shape == (80_601, 3)  # C(402, 2) classes
+    assert (counts.sum(axis=1) == 400).all()
+    L = team_profile_law(inst, TeamPolicy.symmetric_iid(random_behavioral(rng, 2, 3)), 0)
+    assert L.shape == (2, 80_601)
+    assert (L >= 0.0).all()
+    assert np.abs(L.sum(axis=1) - 1.0).max() <= 1e-12
+
+
+def test_budget_error_comes_before_the_cost_matrix(monkeypatch):
+    spec = load_spec(GAMES / "spread.json")
+    inst = FiniteGameInstance(spec, (4000, 4000))  # 4001^2 class pairs
+    calls = []
+    monkeypatch.setattr(FiniteGameInstance, "count_classes", lambda *args: calls.append(args))
+    half = _as_team(_uniform_rule(1, 2))
+    with pytest.raises(BudgetError) as info:
+        exact_cost(inst, half, half, 0)
+    assert info.value.required == 4001**2
+    with pytest.raises(BudgetError):
+        team_best_response_exact(inst, half, 1)
+    with pytest.raises(BudgetError):
+        inst.cost_tensor(0)
+    assert calls == []
+    assert inst._cost_tensors == {}
+
+
 def test_enumeration_budget_guards_exact_path():
     doc = {
         "kind": "static",
@@ -105,7 +141,7 @@ def test_enumeration_budget_guards_exact_path():
         * 2,
     }
     spec = StaticGameSpec.from_dict(doc)
-    inst = FiniteGameInstance(spec, (20, 20))  # 3^40 profile pairs
+    inst = FiniteGameInstance(spec, (100, 100))  # 5151^2 count-class pairs
     rule = _uniform_rule(1, 3)
     with pytest.raises(BudgetError):
         exact_cost(inst, TeamPolicy.symmetric_iid(rule), TeamPolicy.symmetric_iid(rule), 0)
@@ -117,23 +153,8 @@ def test_enumeration_budget_guards_exact_path():
 
 
 def test_best_response_candidate_budget():
-    doc = {
-        "kind": "static",
-        "world": 1,
-        "prior": [1.0],
-        "teams": [
-            {
-                "actions": 2,
-                "observations": 3,
-                "obs_kernel": [[0.5, 0.3, 0.2]],
-                "statistic": {"kind": "mean-embedding", "embedding": [0.0, 1.0]},
-                "cost": {"family": "team-coordination"},
-            }
-        ]
-        * 2,
-    }
-    spec = StaticGameSpec.from_dict(doc)
-    inst = FiniteGameInstance(spec, (12, 1))  # 8^12 joint deterministic candidates
+    spec = three_signal_spec()
+    inst = FiniteGameInstance(spec, (40, 1))  # C(47, 7) multisets of 8 seat maps
     with pytest.raises(BudgetError):
         team_best_response_exact(inst, _as_team(_uniform_rule(3, 2)), 0)
 
@@ -172,6 +193,23 @@ def test_best_response_matches_oracle_brute_force():
         assert achieved == pytest.approx(value, abs=1e-12)
 
 
+def test_best_response_ties_go_to_the_first_profile_in_map_order():
+    # the second signal never arrives, so maps agreeing on the first one tie
+    # exactly; the search must return the same profile as a seat-by-seat scan
+    team = {
+        "actions": 2,
+        "observations": 2,
+        "obs_kernel": [[1.0, 0.0]],
+        "statistic": {"kind": "mean-embedding", "embedding": [0.0, 1.0]},
+        "cost": {"family": "team-coordination"},
+    }
+    spec = StaticGameSpec.from_dict({"kind": "static", "world": 1, "prior": [1.0], "teams": [team, team]})
+    inst = FiniteGameInstance(spec, (3, 3))
+    profile, value = team_best_response_exact(inst, _consensus(spec, 1, 0), 0)
+    assert value == 0.0
+    assert profile == [DetPolicy((0, 0))] * 3
+
+
 def test_mismatch_equilibrium_certifies_zero_at_small_and_large_n():
     spec = load_spec(GAMES / "mf_mismatch.json")
     half = TeamPolicy.symmetric_iid(BehavioralPolicy.from_rows([[0.5, 0.5]]))
@@ -187,7 +225,7 @@ def test_spread_epsilon_decays_harmonically():
     # action is lost to the seat itself, giving eps = 0.5 / N exactly
     spec = load_spec(GAMES / "spread.json")
     half = TeamPolicy.symmetric_iid(BehavioralPolicy.from_rows([[0.5, 0.5]]))
-    for n, want in ((2, 0.25), (4, 0.125), (8, 0.0625)):
+    for n, want in ((2, 0.25), (4, 0.125), (8, 0.0625), (40, 0.0125), (400, 0.00125)):
         rep = epsilon_ne_certify(FiniteGameInstance(spec, (n, n)), half, half)
         assert rep.eps[0] == pytest.approx(want, abs=1e-12)
         assert rep.eps[1] == pytest.approx(want, abs=1e-12)
@@ -287,10 +325,12 @@ def test_sample_team_actions_deterministic_and_law_abiding():
 def test_epsilon_sweep_exact_rows_and_size_binding():
     spec = load_spec(GAMES / "spread.json")
     half = BehavioralPolicy.from_rows([[0.5, 0.5]])
-    rows = epsilon_sweep(spec, (half, half), [(2, 2), (4, 4)])
-    assert [r.method for r in rows] == ["exact", "exact"]
+    rows = epsilon_sweep(spec, (half, half), [(2, 2), (4, 4), (40, 40), (400, 400)])
+    assert [r.method for r in rows] == ["exact"] * 4
     assert rows[0].eps == pytest.approx((0.25, 0.25))
     assert rows[1].eps == pytest.approx((0.125, 0.125))
+    assert rows[2].eps == pytest.approx((0.0125, 0.0125), abs=1e-12)
+    assert rows[3].eps == pytest.approx((0.00125, 0.00125), abs=1e-12)
     # a size-bound policy cannot be swept at a different size
     bound = TeamPolicy.product([half, half])
     with pytest.raises(ModelError):
@@ -298,14 +338,14 @@ def test_epsilon_sweep_exact_rows_and_size_binding():
 
 
 def test_epsilon_sweep_mc_fallback_needs_seed():
-    spec = load_spec(GAMES / "spread.json")
-    half = BehavioralPolicy.from_rows([[0.5, 0.5]])
+    spec = three_signal_spec()
+    half = _uniform_rule(3, 2)
     with pytest.raises(ModelError):
-        epsilon_sweep(spec, (half, half), [(40, 40)], reps=100)
-    rows = epsilon_sweep(spec, (half, half), [(40, 40)], reps=100, seed=5)
+        epsilon_sweep(spec, (half, half), [(40, 40)], reps=100, deviation_resolution=1.0)
+    rows = epsilon_sweep(spec, (half, half), [(40, 40)], reps=100, seed=5, deviation_resolution=1.0)
     assert rows[0].method == "monte-carlo"
     assert rows[0].ci_halfwidth > 0.0
-    again = epsilon_sweep(spec, (half, half), [(40, 40)], reps=100, seed=5)
+    again = epsilon_sweep(spec, (half, half), [(40, 40)], reps=100, seed=5, deviation_resolution=1.0)
     assert rows[0].eps == again[0].eps
 
 
@@ -317,7 +357,7 @@ def test_epsilon_sweep_checks_deviation_budget_before_sampling(monkeypatch):
     spec = load_spec(GAMES / "spread.json")
     half = BehavioralPolicy.from_rows([[0.5, 0.5]])
     with pytest.raises(BudgetError) as info:
-        epsilon_sweep(spec, (half, half), [(400, 400)], reps=400, seed=1, deviation_resolution=0.00004)
+        epsilon_sweep(spec, (half, half), [(4000, 4000)], reps=400, seed=1, deviation_resolution=0.00004)
     assert info.value.required == 25_001
     assert calls == []
 

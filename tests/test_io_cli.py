@@ -33,6 +33,7 @@ from teamfield.policies import (
     TeamPolicy,
     anticorrelated_pair,
 )
+from tests._gen import THREE_SIGNAL_DOC
 from tests._paths import GAMES, REPO
 
 MISMATCH = GAMES / "mf_mismatch.json"
@@ -281,14 +282,12 @@ def test_cli_certify_json_and_csv(tmp_path):
 
 
 def test_cli_sweep_csv_deterministic_across_workers(tmp_path):
-    pair = policy_pair_doc(
-        (
-            TeamPolicy.symmetric_iid(BehavioralPolicy.from_rows([[0.5, 0.5]])),
-            TeamPolicy.symmetric_iid(BehavioralPolicy.from_rows([[0.5, 0.5]])),
-        )
-    )
+    # the 8-map game: exact at 2 and 4 seats, Monte Carlo at 40
+    uniform = TeamPolicy.symmetric_iid(BehavioralPolicy.from_rows([[0.5, 0.5]] * 3))
     ppath = tmp_path / "pair.json"
-    write_json(ppath, pair)
+    write_json(ppath, policy_pair_doc((uniform, uniform)))
+    spec_path = tmp_path / "three_signal.json"
+    spec_path.write_text(json.dumps(THREE_SIGNAL_DOC))
     outs = []
     for workers in ("1", "4"):
         out = tmp_path / f"sweep_{workers}.csv"
@@ -296,7 +295,7 @@ def test_cli_sweep_csv_deterministic_across_workers(tmp_path):
             [
                 "sweep-n",
                 "--spec",
-                GAMES / "spread.json",
+                spec_path,
                 "--policy",
                 ppath,
                 "--ns",
@@ -305,6 +304,8 @@ def test_cli_sweep_csv_deterministic_across_workers(tmp_path):
                 "100",
                 "--seed",
                 "7",
+                "--deviation-step",
+                "1.0",
                 "--out",
                 out,
             ],
@@ -316,6 +317,21 @@ def test_cli_sweep_csv_deterministic_across_workers(tmp_path):
     text = outs[0].decode()
     assert text.split("\n")[0] == SWEEP_HEADER
     assert ",exact," in text and ",monte-carlo," in text
+
+
+def test_cli_sweep_summary_counts_rows_per_method(tmp_path, monkeypatch, capsys):
+    import teamfield.cli as cli
+
+    rows = [SweepRow(2, 2, (0.25, 0.25), "exact", 0.0), SweepRow(40, 40, (0.01, 0.02), "monte-carlo", 0.003)]
+    monkeypatch.setattr(cli, "epsilon_sweep", lambda *args, **kwargs: rows)
+    half = TeamPolicy.symmetric_iid(BehavioralPolicy.from_rows([[0.5, 0.5]]))
+    ppath = tmp_path / "pair.json"
+    write_json(ppath, policy_pair_doc((half, half)))
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep-n", "--spec", str(GAMES / "spread.json"), "--policy", str(ppath), "--ns", "2,40", "--seed", "7"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"sweep-n: 2 row(s): 1 exact, 1 monte-carlo -> {out}\n"
+    assert out.read_text() == sweep_csv_text(rows)
 
 
 @pytest.mark.parametrize("command, spec", [("solve-mf", MISMATCH), ("solve-mf-dyn", CROWD)])

@@ -3,7 +3,9 @@
 The static Monte Carlo figures and the solver iterates were recorded from
 the implementation that still had separate static and dynamic loops, a
 thread pool and compensated (Kahan) sums; the merged code must reproduce
-them to 1e-12. The dynamic Monte Carlo epsilon is pinned at the value of
+them to 1e-12. The Monte Carlo sweep row on the 8-map game was recorded
+from the Monte Carlo path as it stood before the count-class exact engine,
+which left that path untouched. The dynamic Monte Carlo epsilon is pinned at the value of
 the shared seed scheme (base cost on seed + 17*i).
 """
 
@@ -23,6 +25,7 @@ from teamfield import (
     solve_dynamic_mf_fixed_point,
     solve_mf_fixed_point,
 )
+from tests._gen import three_signal_spec
 from tests._paths import GAMES
 
 TOL = 1e-12
@@ -49,11 +52,13 @@ def test_simulate_finite_n_pinned():
 
 
 def test_monte_carlo_sweep_row_pinned():
-    spec = load_spec(GAMES / "spread.json")
-    row = epsilon_sweep(spec, (HALF, HALF), [(40, 40)], reps=100, seed=5)[0]
+    # spread at 40 seats is exact now; the 8-map game still samples there
+    uniform = BehavioralPolicy.from_rows([[0.5, 0.5]] * 3)
+    rows = epsilon_sweep(three_signal_spec(), (uniform, uniform), [(40, 40)], reps=100, seed=5, deviation_resolution=1.0)
+    row = rows[0]
     assert row.method == "monte-carlo"
-    assert row.eps == pytest.approx((0.00041250000000003784, 0.0037875000000000547), abs=TOL)
-    assert row.ci_halfwidth == pytest.approx(0.007023245162170733, abs=TOL)
+    assert row.eps == pytest.approx((0.243175, 0.24314375000000002), abs=TOL)
+    assert row.ci_halfwidth == pytest.approx(0.0026478681548795058, abs=TOL)
 
 
 def test_dynamic_monte_carlo_epsilon_pinned():
