@@ -3,9 +3,11 @@
 Costs take the world point, one decision maker's action, and the statistic
 values of both teams' measures. Families that only depend on a scalar view
 of the statistics (everything built in here) also expose a vectorized
-``value_batch`` used by the grid searches; for an identity statistic the
-scalar view is the index mean of the measure, which coincides with the
-mean-embedding value under the embedding (0, 1, ..., n-1).
+``value_batch`` over arrays of scalar statistics, which the mean-field
+costs and the finite-team cost matrices are built from; for an identity
+statistic the scalar view is the index mean of the measure, which
+coincides with the mean-embedding value under the embedding
+(0, 1, ..., n-1).
 
 Transition families produce one row of the controlled kernel at a time and
 may depend on the same statistic values, which is how the mean-field

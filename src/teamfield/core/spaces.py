@@ -201,6 +201,14 @@ class StatisticMap:
     def scalar(self) -> bool:
         return self.kind == "mean-embedding"
 
+    def scalar_weights(self, size: int) -> np.ndarray:
+        """Weights whose dot product with a measure is the scalar view costs read.
+
+        The embedding for ``mean-embedding``; the action indices 0, ...,
+        size - 1 for ``identity``, so the scalar view is the index mean.
+        """
+        return self.embedding if self.scalar else np.arange(size, dtype=np.float64)
+
     def apply(self, measure) -> Union[float, ProbVec]:
         w = measure.weights if isinstance(measure, ProbVec) else np.asarray(measure, dtype=np.float64)
         if self.kind == "identity":

@@ -116,10 +116,7 @@ class FiniteGameInstance:
             spec = self.spec
             stats = []
             for i, t in enumerate(spec.teams):
-                # the scalar view every cost family reads: the embedding mean,
-                # or the index mean for an identity statistic
-                vec = t.statistic.embedding if t.statistic.scalar else np.arange(t.actions.size)
-                stats.append(self.count_classes(i)[0] / self.team_sizes[i] @ vec)
+                stats.append(self.count_classes(i)[0] / self.team_sizes[i] @ t.statistic.scalar_weights(t.actions.size))
             s1, s2 = stats[0][:, None], stats[1][None, :]
             own = self.count_classes(team)[0].T / self.team_sizes[team]
             own = own[:, :, None] if team == 0 else own[:, None, :]

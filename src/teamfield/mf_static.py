@@ -14,6 +14,13 @@ mean fields (best response). The solver below runs damped best-response
 iteration, optionally softened by a softmax with annealed temperature so
 mixed fixed points are reachable; the grid search provides an independent
 certificate at a chosen resolution.
+
+Every cost goes through one batched path: the scalar statistics of both
+teams' laws, shaped (..., W), feed the cost family's value_batch, and the
+resulting C[..., w, u] is contracted with the prior and the observation
+kernel into per-observation scores. A single candidate, a block of grid
+candidates and a stack of deviation kernels run the same code, and a
+batch agrees with its members bit for bit.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from .policies import BehavioralPolicy
 
 GRID_CANDIDATE_BUDGET = 10_000_000
 DEVIATION_KERNEL_BUDGET = 1_000_000
+GRID_BLOCK = 2**20  # grid candidates scored in one array pass
 
 
 @dataclass(frozen=True)
@@ -85,38 +93,45 @@ def mean_field_action_law(spec: StaticGameSpec, team: int, b: BehavioralPolicy) 
     return t.obs_kernel @ rows
 
 
-def _statistic_values(spec: StaticGameSpec, mf: MeanFieldProfile) -> list[list]:
-    """s_j(omega0) for both teams, ready to hand to the cost."""
-    out = []
-    for j in range(2):
-        stat = spec.teams[j].statistic
-        out.append([stat.apply_raw(mf.laws[j][w]) for w in range(mf.n_world)])
-    return out
+def _statistics(spec: StaticGameSpec, laws) -> tuple[np.ndarray, np.ndarray]:
+    """Both teams' scalar statistics of action laws shaped (..., W, U_j).
+
+    One dot product per law row, as a lone row would get, so a batch
+    matches its members bit for bit.
+    """
+    return tuple(
+        (law[..., None, :] @ t.statistic.scalar_weights(t.actions.size)[:, None])[..., 0, 0]
+        for law, t in zip(laws, spec.teams)
+    )
 
 
-def _cost_matrix(spec: StaticGameSpec, team: int, mf: MeanFieldProfile) -> np.ndarray:
-    """C[omega0, u] at frozen mean fields."""
-    s = _statistic_values(spec, mf)
-    t = spec.teams[team]
-    C = np.empty((spec.n_world, t.actions.size))
+def _cost_matrix(spec: StaticGameSpec, team: int, s1, s2) -> np.ndarray:
+    """C[..., w, u]: the team's cost at scalar statistics s1, s2 shaped (..., W)."""
+    s1, s2 = np.broadcast_arrays(s1, s2)
+    cost = spec.teams[team].cost
+    C = np.empty(s1.shape + (spec.teams[team].actions.size,))
     for w in range(spec.n_world):
-        for u in range(t.actions.size):
-            C[w, u] = t.cost.value(w, u, s[0][w], s[1][w])
+        for u in range(C.shape[-1]):
+            C[..., w, u] = cost.value_batch(w, u, s1[..., w], s2[..., w])
     return C
+
+
+def _score_matrix(spec: StaticGameSpec, team: int, s1, s2) -> np.ndarray:
+    """S[..., y, u]: prior-weighted cost of playing u at observation y."""
+    C = _cost_matrix(spec, team, s1, s2)
+    return spec.teams[team].obs_kernel.T @ (spec.prior[:, None] * C)
+
+
+def _expected_cost(spec: StaticGameSpec, law: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Prior-weighted expected cost of action laws (..., W, U) under C, one dot per law."""
+    per_world = np.einsum("...wu,...wu->...w", law, C)
+    return (per_world[..., None, :] @ spec.prior[:, None])[..., 0, 0]
 
 
 def mf_cost(spec: StaticGameSpec, team: int, b: BehavioralPolicy, mf: MeanFieldProfile) -> float:
     """Expected cost of the representative seat at frozen mean fields."""
     law = mean_field_action_law(spec, team, b)
-    C = _cost_matrix(spec, team, mf)
-    return float(spec.prior @ np.einsum("wu,wu->w", law, C))
-
-
-def _score_matrix(spec: StaticGameSpec, team: int, mf: MeanFieldProfile) -> np.ndarray:
-    """W[y, u]: contribution of playing u at observation y, prior-weighted."""
-    C = _cost_matrix(spec, team, mf)
-    Q = spec.teams[team].obs_kernel
-    return Q.T @ (spec.prior[:, None] * C)
+    return float(_expected_cost(spec, law, _cost_matrix(spec, team, *_statistics(spec, mf.laws))))
 
 
 def best_response_fixed_mf(
@@ -128,21 +143,16 @@ def best_response_fixed_mf(
     index. A deterministic rule is always optimal because the objective is
     linear in each observation's action distribution.
     """
-    W = _score_matrix(spec, team, mf)
+    W = _score_matrix(spec, team, *_statistics(spec, mf.laws))
     picks = np.argmin(W, axis=1)
     value = float(W[np.arange(W.shape[0]), picks].sum())
-    rows = np.zeros_like(W)
-    rows[np.arange(W.shape[0]), picks] = 1.0
-    return BehavioralPolicy(Kernel(rows)), value
+    return BehavioralPolicy(Kernel(np.eye(W.shape[1])[picks])), value
 
 
 def _soft_response_rows(spec: StaticGameSpec, team: int, mf: MeanFieldProfile, tau: float) -> np.ndarray:
-    W = _score_matrix(spec, team, mf)
+    W = _score_matrix(spec, team, *_statistics(spec, mf.laws))
     if tau <= 0.0:
-        picks = np.argmin(W, axis=1)
-        rows = np.zeros_like(W)
-        rows[np.arange(W.shape[0]), picks] = 1.0
-        return rows
+        return np.eye(W.shape[1])[np.argmin(W, axis=1)]
     p_obs = spec.prior @ spec.teams[team].obs_kernel
     rows = np.empty_like(W)
     for y in range(W.shape[0]):
@@ -270,106 +280,90 @@ def simplex_grid(n_points: int, steps: int) -> np.ndarray:
     return np.asarray(out, dtype=np.float64) / steps
 
 
-def kernel_grid(n_rows: int, n_actions: int, steps: int, budget: int, what: str):
-    """Every (n_rows, n_actions) kernel whose rows lie on simplex_grid.
+def kernel_grid(n_rows: int, n_actions: int, steps: int, budget: int, what: str) -> np.ndarray:
+    """Every (n_rows, n_actions) kernel whose rows lie on simplex_grid, stacked.
 
-    Kernels come lazily, lexicographic in the rows' grid indices with the
-    last row varying fastest. Their count is checked against the budget
-    before the first one is built.
+    Kernels are lexicographic in the rows' grid indices, the last row
+    varying fastest. Their count is checked against the budget before
+    anything is built.
     """
-    grid = simplex_grid(n_actions, steps)
-    count = len(grid) ** n_rows
+    count = math.comb(steps + n_actions - 1, steps) ** n_rows
     if count > budget:
         raise BudgetError(what, count, budget)
-    return (grid[list(picks)] for picks in itertools.product(range(len(grid)), repeat=n_rows))
+    grid = simplex_grid(n_actions, steps)
+    return grid[np.indices((len(grid),) * n_rows).reshape(n_rows, -1).T]
 
 
-def _grid_candidate_hit(
-    spec: StaticGameSpec,
-    candidate: MeanFieldProfile,
-    resolution: float,
-    tie_tol: float,
-):
-    """Check one mean-field candidate, returning rules per team or None.
+def _grid_verdicts(spec: StaticGameSpec, team: int, stats, target, resolution: float, tie_tol: float):
+    """One team's verdicts on a block of candidates: (passes, tied, argmin sets).
 
-    A team passes when some mixture over its per-observation argmin sets
-    induces an action law within (strictly below) the resolution of the
-    candidate. Without ties the induced law is forced and checked
-    directly; with ties feasibility is a small linear program.
+    The argmin sets mark, per observation, the actions whose score is
+    within tie_tol of the minimum. Without a tie they are the one-hot best
+    response, and the team passes when the law it induces is within total
+    variation strictly below the resolution of the target at every world
+    point. A tied candidate passes here; _tie_rule settles it.
+    """
+    S = _score_matrix(spec, team, *stats)
+    allowed = S <= S.min(axis=-1, keepdims=True) + tie_tol
+    tied = (allowed.sum(axis=-1) > 1).any(axis=-1)
+    induced = spec.teams[team].obs_kernel @ allowed.astype(np.float64)
+    tv = 0.5 * np.abs(induced - target).sum(axis=-1)
+    return tied | (tv.max(axis=-1) < resolution), tied, allowed
+
+
+def _tie_rule(spec: StaticGameSpec, team: int, allowed: np.ndarray, target: np.ndarray, resolution: float):
+    """Rows mixing over the argmin sets `allowed` whose induced law is
+    closest in total variation to `target`, or None if that distance is not
+    strictly below the resolution. A small linear program.
     """
     from scipy.optimize import linprog
 
-    rules = []
-    for i in range(2):
-        t = spec.teams[i]
-        W = _score_matrix(spec, i, candidate)
-        n_y, n_u = W.shape
-        tie_sets = []
-        any_tie = False
-        for y in range(n_y):
-            lo = W[y].min()
-            s = np.flatnonzero(W[y] <= lo + tie_tol)
-            tie_sets.append(s)
-            any_tie = any_tie or len(s) > 1
-        Q = t.obs_kernel
-        target = candidate.laws[i]
-        if not any_tie:
-            rows = np.zeros((n_y, n_u))
-            rows[np.arange(n_y), [s[0] for s in tie_sets]] = 1.0
-            induced = Q @ rows
-            tv = max(tv_distance(induced[w], target[w]) for w in range(spec.n_world))
-            if not tv < resolution:
-                return None
-            rules.append(rows)
-            continue
-        # variables: b(y,u) over allowed actions, e(w,u) slack, t objective
-        var_index = {}
-        for y in range(n_y):
-            for u in tie_sets[y]:
-                var_index[(y, u)] = len(var_index)
-        nb = len(var_index)
-        ne = spec.n_world * n_u
-        nv = nb + ne + 1
-        c = np.zeros(nv)
-        c[-1] = 1.0
-        A_eq = np.zeros((n_y, nv))
-        b_eq = np.ones(n_y)
-        for (y, u), j in var_index.items():
-            A_eq[y, j] = 1.0
-        A_ub, b_ub = [], []
-        for w in range(spec.n_world):
-            for u in range(n_u):
-                e_j = nb + w * n_u + u
-                for sgn in (1.0, -1.0):
-                    row = np.zeros(nv)
-                    for (y, uu), j in var_index.items():
-                        if uu == u:
-                            row[j] = sgn * Q[w, y]
-                    row[e_j] = -1.0
-                    A_ub.append(row)
-                    b_ub.append(sgn * target[w, u])
-            row = np.zeros(nv)
-            row[nb + w * n_u : nb + (w + 1) * n_u] = 0.5
-            row[-1] = -1.0
-            A_ub.append(row)
-            b_ub.append(0.0)
-        res = linprog(
-            c,
-            A_ub=np.asarray(A_ub),
-            b_ub=np.asarray(b_ub),
-            A_eq=A_eq,
-            b_eq=b_eq,
-            bounds=[(0, None)] * nv,
-            method="highs",
-        )
-        if not res.success or not res.x[-1] < resolution:
-            return None
-        rows = np.zeros((n_y, n_u))
-        for (y, u), j in var_index.items():
-            rows[y, u] = max(res.x[j], 0.0)
-        rows /= rows.sum(axis=1, keepdims=True)
-        rules.append(rows)
-    return rules
+    Q = spec.teams[team].obs_kernel
+    n_y, n_u = allowed.shape
+    # variables: b(y,u) over allowed actions, e(w,u) slack, t objective
+    var_index = {(int(y), int(u)): j for j, (y, u) in enumerate(np.argwhere(allowed))}
+    nb = len(var_index)
+    ne = spec.n_world * n_u
+    nv = nb + ne + 1
+    c = np.zeros(nv)
+    c[-1] = 1.0
+    A_eq = np.zeros((n_y, nv))
+    b_eq = np.ones(n_y)
+    for (y, u), j in var_index.items():
+        A_eq[y, j] = 1.0
+    A_ub, b_ub = [], []
+    for w in range(spec.n_world):
+        for u in range(n_u):
+            e_j = nb + w * n_u + u
+            for sgn in (1.0, -1.0):
+                row = np.zeros(nv)
+                for (y, uu), j in var_index.items():
+                    if uu == u:
+                        row[j] = sgn * Q[w, y]
+                row[e_j] = -1.0
+                A_ub.append(row)
+                b_ub.append(sgn * target[w, u])
+        row = np.zeros(nv)
+        row[nb + w * n_u : nb + (w + 1) * n_u] = 0.5
+        row[-1] = -1.0
+        A_ub.append(row)
+        b_ub.append(0.0)
+    res = linprog(
+        c,
+        A_ub=np.asarray(A_ub),
+        b_ub=np.asarray(b_ub),
+        A_eq=A_eq,
+        b_eq=b_eq,
+        bounds=[(0, None)] * nv,
+        method="highs",
+    )
+    if not res.success or not res.x[-1] < resolution:
+        return None
+    rows = np.zeros((n_y, n_u))
+    for (y, u), j in var_index.items():
+        rows[y, u] = max(res.x[j], 0.0)
+    rows /= rows.sum(axis=1, keepdims=True)
+    return rows
 
 
 def _equilibrium(spec, rules, mf, iterations: int) -> MFEquilibrium:
@@ -400,78 +394,47 @@ def grid_fixed_point_search(
 ) -> list[MFEquilibrium]:
     """Exhaustive scan for approximate mean-field fixed points.
 
-    Every product of per-team, per-world-point action laws on the
-    resolution grid is tested with _grid_candidate_hit. Binary action
-    spaces with a single world point take a vectorized shortcut; the
-    general path enumerates lazily and is meant for coarse grids.
+    A candidate is a pair of per-team action laws whose rows, one per
+    world point, lie on the resolution grid. It is a hit when each team
+    has a rule, mixing only over its per-observation argmin sets (actions
+    within tie_tol of the best score), whose induced law is within total
+    variation strictly below the resolution of the candidate at every
+    world point. Without ties the rule is the argmin pick; with ties a
+    small linear program finds it. Hits come in kernel_grid order of team
+    0's laws, and of team 1's within each. Candidates are scored in array
+    passes of up to GRID_BLOCK at a time.
     """
     if not 0.0 < resolution <= 0.5:
         raise ModelError("resolution must lie in (0, 0.5]")
+    if not (math.isfinite(tie_tol) and tie_tol >= 0.0):
+        raise ModelError("tie_tol must be finite and >= 0")
     steps = round(1.0 / resolution)
-    binary = all(t.actions.size == 2 for t in spec.teams)
-    batched = all(hasattr(t.cost, "value_batch") for t in spec.teams)
-    if binary and batched and spec.n_world == 1:
-        return _grid_search_binary_one_world(spec, resolution, steps, tie_tol)
-
-    axes = []
-    for i in range(2):
-        g = simplex_grid(spec.teams[i].actions.size, steps)
-        for _ in range(spec.n_world):
-            axes.append(g)
-    total = math.prod(len(a) for a in axes)
+    total = math.prod(math.comb(steps + t.actions.size - 1, steps) ** spec.n_world for t in spec.teams)
     if total > max_candidates:
         raise BudgetError("grid candidates", total, max_candidates)
+    laws = [kernel_grid(spec.n_world, t.actions.size, steps, total, "grid candidates") for t in spec.teams]
+    stats = _statistics(spec, laws)
+    block = max(1, GRID_BLOCK // len(laws[1]))
     hits = []
-    n_u1 = spec.teams[0].actions.size
-    for combo in itertools.product(*axes):
-        law1 = np.asarray(combo[: spec.n_world])
-        law2 = np.asarray(combo[spec.n_world :])
-        candidate = MeanFieldProfile(laws=(law1.reshape(-1, n_u1), law2.reshape(-1, spec.teams[1].actions.size)))
-        rules = _grid_candidate_hit(spec, candidate, resolution, tie_tol)
-        if rules is not None:
-            hits.append(_equilibrium(spec, rules, candidate, 0))
-    return hits
-
-
-def _grid_search_binary_one_world(spec, resolution, steps, tie_tol) -> list[MFEquilibrium]:
-    m = np.arange(steps + 1) / steps
-    stats = []
-    for j in range(2):
-        stat = spec.teams[j].statistic
-        if stat.kind == "mean-embedding":
-            e = stat.embedding
-            stats.append(e[0] * (1.0 - m) + e[1] * m)
-        else:
-            stats.append(m.copy())
-    S1 = stats[0][:, None]
-    S2 = stats[1][None, :]
-    ok = []
-    tie = []
-    pick = []
-    shape = (m.size, m.size)
-    for i in range(2):
-        c0 = np.broadcast_to(np.asarray(spec.teams[i].cost.value_batch(0, 0, S1, S2), dtype=float), shape)
-        c1 = np.broadcast_to(np.asarray(spec.teams[i].cost.value_batch(0, 1, S1, S2), dtype=float), shape)
-        tie_i = np.abs(c0 - c1) <= tie_tol
-        pick_i = (c1 < c0).astype(float)
-        target = m[:, None] if i == 0 else m[None, :]
-        ok_i = tie_i | (np.abs(target - pick_i) < resolution)
-        ok.append(ok_i)
-        tie.append(tie_i)
-        pick.append(pick_i)
-    mask = ok[0] & ok[1]
-    hits = []
-    for a, b in np.argwhere(mask):
-        laws = (np.array([[1.0 - m[a], m[a]]]), np.array([[1.0 - m[b], m[b]]]))
-        candidate = MeanFieldProfile(laws=laws)
-        rules = []
-        for i, (ti, pi) in enumerate(zip(tie, pick)):
-            t = spec.teams[i]
-            q = m[a] if i == 0 else m[b]
-            if not ti[a, b]:
-                q = pi[a, b]
-            rules.append(np.tile([1.0 - q, q], (t.observations.size, 1)))
-        hits.append(_equilibrium(spec, rules, candidate, 0))
+    for start in range(0, len(laws[0]), block):
+        cut = slice(start, start + block)
+        verdicts = [
+            _grid_verdicts(spec, i, (stats[0][cut, None], stats[1][None]), target, resolution, tie_tol)
+            for i, target in enumerate((laws[0][cut, None], laws[1][None]))
+        ]
+        for a, b in np.argwhere(verdicts[0][0] & verdicts[1][0]):
+            candidate = MeanFieldProfile(laws=(laws[0][start + a], laws[1][b]))
+            rules = []
+            for i, (_, tied, allowed) in enumerate(verdicts):
+                if tied[a, b]:
+                    rows = _tie_rule(spec, i, allowed[a, b], candidate.laws[i], resolution)
+                else:
+                    rows = allowed[a, b].astype(np.float64)
+                if rows is None:
+                    break
+                rules.append(rows)
+            else:
+                hits.append(_equilibrium(spec, rules, candidate, 0))
     return hits
 
 
@@ -504,22 +467,12 @@ def mf_exploitability(
     devs = []
     for i in range(2):
         t = spec.teams[i]
-        grid = kernel_grid(t.observations.size, t.actions.size, steps, max_candidates, "deviation kernels")
-        cur = mf_cost(spec, i, base[i], _pair_profile(laws, i, laws[i]))
-        best = None
-        best_rows = None
-        for rows in grid:
-            own_law = t.obs_kernel @ rows
-            J = mf_cost(spec, i, BehavioralPolicy(Kernel(rows)), _pair_profile(laws, i, own_law))
-            if best is None or J < best:
-                best = J
-                best_rows = rows
-        eps.append(cur - best)
-        devs.append(BehavioralPolicy(Kernel(best_rows)))
+        kernels = kernel_grid(t.observations.size, t.actions.size, steps, max_candidates, "deviation kernels")
+        cur = mf_cost(spec, i, base[i], MeanFieldProfile(laws=(laws[0], laws[1])))
+        pair = list(laws)
+        pair[i] = t.obs_kernel @ kernels
+        J = _expected_cost(spec, pair[i], _cost_matrix(spec, i, *_statistics(spec, pair)))
+        best = int(np.argmin(J))
+        eps.append(cur - float(J[best]))
+        devs.append(BehavioralPolicy(Kernel(kernels[best])))
     return MfExploitability(eps=(eps[0], eps[1]), deviations=(devs[0], devs[1]))
-
-
-def _pair_profile(laws, i, own_law) -> MeanFieldProfile:
-    pair = [laws[0], laws[1]]
-    pair[i] = own_law
-    return MeanFieldProfile(laws=(pair[0], pair[1]))

@@ -50,6 +50,38 @@ def random_static_spec(rng: np.random.Generator, max_size: int = 3) -> StaticGam
     )
 
 
+def tracking_spec(rng: np.random.Generator, n_world: int, n_obs: int, n_actions: int) -> StaticGameSpec:
+    """Team 0 tracks the opponent's mean action, team 1 coordinates on its own.
+
+    Observation kernels and the prior are random; each team's statistic is
+    an increasing mean embedding from 0 to n_actions - 1, random inside.
+    """
+    teams = []
+    for family in ("track-opponent-mean", "team-coordination"):
+        inner = np.sort(rng.random(n_actions - 2)) * (n_actions - 1)
+        teams.append(
+            {
+                "actions": n_actions,
+                "observations": n_obs,
+                "obs_kernel": _rows(rng, n_world, n_obs).tolist(),
+                "statistic": {"kind": "mean-embedding", "embedding": [0.0, *inner.tolist(), float(n_actions - 1)]},
+                "cost": {"family": family},
+            }
+        )
+    prior = _rows(rng, 1, n_world)[0]
+    return StaticGameSpec.from_dict({"kind": "static", "world": n_world, "prior": prior.tolist(), "teams": teams})
+
+
+def noisy_spec(seed: int) -> StaticGameSpec:
+    """A tracking game with 2 world points, 2 observations and 2 actions."""
+    return tracking_spec(np.random.default_rng(seed), 2, 2, 2)
+
+
+def tri_spec(seed: int) -> StaticGameSpec:
+    """A tracking game with 1 world point, 1 observation and 3 actions."""
+    return tracking_spec(np.random.default_rng(seed), 1, 1, 3)
+
+
 THREE_SIGNAL_DOC = {
     "kind": "static",
     "world": 1,

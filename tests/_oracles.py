@@ -3,8 +3,9 @@
 Everything here is written the slow, obvious way: direct enumeration
 over joint profiles with exact rational probabilities, seat-by-seat
 enumeration of joint action profiles and joint deterministic deviations,
-and plain loops for chain propagation. None of it shares code with the
-package's count-class paths, which is the point.
+plain loops for chain propagation, and a candidate-by-candidate mean-field
+grid search on scalar cost evaluations. None of it shares code with the
+package's count-class and batched cost paths, which is the point.
 """
 
 from __future__ import annotations
@@ -262,3 +263,158 @@ def oracle_mismatch_maps(m1, m2, tau):
         return e / (1.0 + e)
 
     return sigmoid((2.0 * m2 - 1.0) / tau), sigmoid((1.0 - 2.0 * m1) / tau)
+
+
+def _scalar_cost_matrix(spec, team, laws):
+    """C[w, u] at mean fields `laws`, one scalar cost.value call per entry."""
+    s = [[spec.teams[j].statistic.apply_raw(laws[j][w]) for w in range(spec.n_world)] for j in range(2)]
+    t = spec.teams[team]
+    C = np.empty((spec.n_world, t.actions.size))
+    for w in range(spec.n_world):
+        for u in range(t.actions.size):
+            C[w, u] = t.cost.value(w, u, s[0][w], s[1][w])
+    return C
+
+
+def _scalar_scores(spec, team, laws):
+    C = _scalar_cost_matrix(spec, team, laws)
+    return spec.teams[team].obs_kernel.T @ (spec.prior[:, None] * C)
+
+
+def _tv(p, q):
+    return 0.5 * float(np.abs(p - q).sum())
+
+
+def _grid_candidate_rules(spec, laws, resolution, tie_tol):
+    """Rules per team for one mean-field candidate, or None.
+
+    Without ties the induced law is forced and checked directly; with
+    ties feasibility is a small linear program over the argmin sets.
+    """
+    from scipy.optimize import linprog
+
+    rules = []
+    for i in range(2):
+        Q = spec.teams[i].obs_kernel
+        W = _scalar_scores(spec, i, laws)
+        n_y, n_u = W.shape
+        tie_sets = [np.flatnonzero(W[y] <= W[y].min() + tie_tol) for y in range(n_y)]
+        target = laws[i]
+        if all(len(s) == 1 for s in tie_sets):
+            rows = np.zeros((n_y, n_u))
+            rows[np.arange(n_y), [s[0] for s in tie_sets]] = 1.0
+            induced = Q @ rows
+            if not max(_tv(induced[w], target[w]) for w in range(spec.n_world)) < resolution:
+                return None
+            rules.append(rows)
+            continue
+        var_index = {}
+        for y in range(n_y):
+            for u in tie_sets[y]:
+                var_index[(y, u)] = len(var_index)
+        nb = len(var_index)
+        nv = nb + spec.n_world * n_u + 1
+        c = np.zeros(nv)
+        c[-1] = 1.0
+        A_eq = np.zeros((n_y, nv))
+        for (y, u), j in var_index.items():
+            A_eq[y, j] = 1.0
+        A_ub, b_ub = [], []
+        for w in range(spec.n_world):
+            for u in range(n_u):
+                for sgn in (1.0, -1.0):
+                    row = np.zeros(nv)
+                    for (y, uu), j in var_index.items():
+                        if uu == u:
+                            row[j] = sgn * Q[w, y]
+                    row[nb + w * n_u + u] = -1.0
+                    A_ub.append(row)
+                    b_ub.append(sgn * target[w, u])
+            row = np.zeros(nv)
+            row[nb + w * n_u : nb + (w + 1) * n_u] = 0.5
+            row[-1] = -1.0
+            A_ub.append(row)
+            b_ub.append(0.0)
+        res = linprog(
+            c,
+            A_ub=np.asarray(A_ub),
+            b_ub=np.asarray(b_ub),
+            A_eq=A_eq,
+            b_eq=np.ones(n_y),
+            bounds=[(0, None)] * nv,
+            method="highs",
+        )
+        if not res.success or not res.x[-1] < resolution:
+            return None
+        rows = np.zeros((n_y, n_u))
+        for (y, u), j in var_index.items():
+            rows[y, u] = max(res.x[j], 0.0)
+        rows /= rows.sum(axis=1, keepdims=True)
+        rules.append(rows)
+    return rules
+
+
+def grid_search_oracle(spec, resolution, tie_tol=1e-9):
+    """The mean-field grid certificate, one candidate at a time.
+
+    Walks the lazy product of per-team, per-world-point simplex grid rows
+    (team 0's rows first, the last row varying fastest) and returns one
+    (laws, rules, br_residual, consistency_residual) tuple per hit, with
+    residuals computed from scalar cost evaluations.
+    """
+    from teamfield.mf_static import simplex_grid
+
+    steps = round(1.0 / resolution)
+    axes = []
+    for t in spec.teams:
+        g = simplex_grid(t.actions.size, steps)
+        axes += [g] * spec.n_world
+    hits = []
+    for combo in itertools.product(*axes):
+        laws = (np.asarray(combo[: spec.n_world]), np.asarray(combo[spec.n_world :]))
+        rules = _grid_candidate_rules(spec, laws, resolution, tie_tol)
+        if rules is None:
+            continue
+        br, consistency = [], []
+        for i in range(2):
+            Q = spec.teams[i].obs_kernel
+            induced = Q @ rules[i]
+            consistency.append(max(_tv(laws[i][w], induced[w]) for w in range(spec.n_world)))
+            cur = float(spec.prior @ np.einsum("wu,wu->w", induced, _scalar_cost_matrix(spec, i, laws)))
+            W = _scalar_scores(spec, i, laws)
+            picks = np.argmin(W, axis=1)
+            br.append(cur - float(W[np.arange(W.shape[0]), picks].sum()))
+        hits.append((laws, rules, tuple(br), tuple(consistency)))
+    return hits
+
+
+
+def exploitability_oracle(spec, b1, b2, resolution):
+    """Best self-consistent deviation gain per team, one grid kernel at a time.
+
+    Returns per-team gains and the first kernel reaching the lowest cost,
+    scanning kernels in the order of the product of simplex grid rows.
+    """
+    from teamfield.mf_static import simplex_grid
+
+    steps = round(1.0 / resolution)
+    laws = [spec.teams[i].obs_kernel @ b.kernel.rows for i, b in enumerate((b1, b2))]
+    eps, devs = [], []
+    for i in range(2):
+        t = spec.teams[i]
+
+        def cost(own):
+            pair = list(laws)
+            pair[i] = own
+            return float(spec.prior @ np.einsum("wu,wu->w", own, _scalar_cost_matrix(spec, i, pair)))
+
+        grid = simplex_grid(t.actions.size, steps)
+        best, best_rows = None, None
+        for picks in itertools.product(range(len(grid)), repeat=t.observations.size):
+            rows = grid[list(picks)]
+            J = cost(t.obs_kernel @ rows)
+            if best is None or J < best:
+                best, best_rows = J, rows
+        eps.append(cost(laws[i]) - best)
+        devs.append(best_rows)
+    return eps, devs

@@ -212,6 +212,10 @@ def test_cli_exit_codes(tmp_path):
     # grid resolution outside (0, 0.1] is refused
     r = _run(["grid-search", "--spec", MISMATCH, "--resolution", "0.2"])
     assert r.returncode == 1
+    # a negative tie tolerance is refused, not read as "no ties"
+    r = _run(["grid-search", "--spec", GAMES / "coordination.json", "--resolution", "0.1", "--tie-tol", "-1"])
+    assert r.returncode == 1
+    assert "tie_tol" in r.stderr
 
 
 def test_cli_solve_mf_writes_schema_and_converges(tmp_path):

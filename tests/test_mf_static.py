@@ -1,9 +1,11 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from teamfield.core.errors import ModelError
+from teamfield import mf_static
+from teamfield.core.errors import BudgetError, ModelError
 from teamfield.core.spaces import tv_distance
 from teamfield.core.specs import StaticGameSpec
 from teamfield.io import load_spec
@@ -18,8 +20,8 @@ from teamfield.mf_static import (
     solve_mf_fixed_point,
 )
 from teamfield.policies import BehavioralPolicy
-from tests._gen import random_static_spec
-from tests._oracles import oracle_mismatch_maps
+from tests._gen import noisy_spec, random_behavioral, random_static_spec, tri_spec
+from tests._oracles import exploitability_oracle, grid_search_oracle, oracle_mismatch_maps
 from tests._paths import GAMES
 
 MISMATCH = GAMES / "mf_mismatch.json"
@@ -164,6 +166,78 @@ def test_grid_hits_carry_zero_residuals():
         assert h.converged
         assert max(h.br_residual) <= 1e-9
         assert max(h.consistency_residual) <= 0.5
+
+
+def _assert_same_hits(hits, ref):
+    """Hits equal, bit for bit and in order, to (laws, rules, br, consistency) tuples."""
+    assert len(hits) == len(ref)
+    for h, (laws, rules, br, consistency) in zip(hits, ref):
+        for i in range(2):
+            assert np.array_equal(h.mean_fields.laws[i], laws[i])
+            assert np.array_equal(h.policies[i].kernel.rows, rules[i])
+        assert h.br_residual == br
+        assert h.consistency_residual == consistency
+
+
+@pytest.mark.parametrize("name", ["spread", "coordination", "mf_mismatch"])
+def test_grid_search_matches_the_candidate_oracle_on_bundled_games(name):
+    spec = load_spec(GAMES / f"{name}.json")
+    for resolution in (0.5, 0.25, 0.1, 0.05):
+        _assert_same_hits(grid_fixed_point_search(spec, resolution), grid_search_oracle(spec, resolution))
+
+
+def test_grid_search_matches_the_candidate_oracle_on_generated_games():
+    _assert_same_hits(grid_fixed_point_search(noisy_spec(1), 0.25), grid_search_oracle(noisy_spec(1), 0.25))
+    _assert_same_hits(grid_fixed_point_search(tri_spec(1), 0.1), grid_search_oracle(tri_spec(1), 0.1))
+    rng = np.random.default_rng(7)
+    checked, mixed = 0, 0
+    while checked < 8:
+        spec = random_static_spec(rng)
+        size = math.prod(math.comb(t.actions.size + 1, 2) ** spec.n_world for t in spec.teams)
+        if spec.n_world < 2 or size > 800:
+            continue
+        ref = grid_search_oracle(spec, 0.5)
+        _assert_same_hits(grid_fixed_point_search(spec, 0.5), ref)
+        mixed += sum(any(not np.isin(r, (0.0, 1.0)).all() for r in rules) for _, rules, _, _ in ref)
+        checked += 1
+    assert mixed > 0  # some hits needed the tie linear program
+
+
+def test_grid_search_blocks_do_not_change_the_hits(monkeypatch):
+    spec = noisy_spec(2)
+    whole = grid_fixed_point_search(spec, 0.25)
+    monkeypatch.setattr(mf_static, "GRID_BLOCK", 60)  # two of team 0's 25 laws per block
+    ref = [(h.mean_fields.laws, [p.kernel.rows for p in h.policies], h.br_residual, h.consistency_residual) for h in whole]
+    _assert_same_hits(grid_fixed_point_search(spec, 0.25), ref)
+
+
+def test_grid_budget_is_checked_before_any_cost_evaluation(monkeypatch):
+    spec = load_spec(COORDINATION)
+    calls = []
+    monkeypatch.setattr(type(spec.teams[0].cost), "value_batch", lambda *args: calls.append(args))
+    with pytest.raises(BudgetError) as info:
+        grid_fixed_point_search(spec, 0.01, max_candidates=100)
+    assert info.value.required == 101**2
+    assert calls == []
+
+
+def test_grid_search_rejects_a_negative_or_nonfinite_tie_tol():
+    spec = load_spec(COORDINATION)
+    for tol in (-1.0, -1e-12, float("nan"), float("inf")):
+        with pytest.raises(ModelError, match="tie_tol"):
+            grid_fixed_point_search(spec, 0.1, tie_tol=tol)
+
+
+def test_exploitability_matches_the_kernel_by_kernel_oracle():
+    rng = np.random.default_rng(31)
+    specs = [noisy_spec(3), tri_spec(3), load_spec(COORDINATION)] + [random_static_spec(rng, max_size=2) for _ in range(6)]
+    for spec in specs:
+        pair = [random_behavioral(rng, t.observations.size, t.actions.size) for t in spec.teams]
+        rep = mf_exploitability(spec, *pair, resolution=0.05)
+        eps, devs = exploitability_oracle(spec, *pair, 0.05)
+        assert rep.eps == tuple(eps)
+        for i in range(2):
+            assert np.array_equal(rep.deviations[i].kernel.rows, devs[i])
 
 
 def test_exploitability_zero_at_the_mismatch_fixed_point():
