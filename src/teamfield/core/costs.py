@@ -351,7 +351,8 @@ class _Transition:
         raise NotImplementedError
 
     def raw_rows(self):
-        """Underlying tables for validation, or None when there are none."""
+        """Underlying tables, one row per (stage, state, action), or None
+        when there are none. Every statistic-free family has one."""
         return None
 
     def to_dict(self) -> dict:
@@ -399,6 +400,9 @@ class StateCopiesAction(_Transition):
 
     def rows_at(self, t, x, u, sx1, sx2, su1, su2):
         return self._eye[u]
+
+    def raw_rows(self):
+        return np.tile(self._eye, (self.n_states, 1))
 
 
 class MeanFieldMixtureTransition(_Transition):

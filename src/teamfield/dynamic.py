@@ -13,10 +13,19 @@ fixed-point iteration, and the coupled finite-team simulator all live
 here. The simulator feeds every seat the realized empirical measures
 (deviators included), which is exactly what the finite-team epsilon
 estimates need.
+
+The exact finite-team engine is a forward Markov chain on count
+configurations: seats with equal stage kernels form a class, and a
+chain row holds the seat count per (class, state). Costs and
+transitions read only the teams' count totals, so their tables are
+filled once per distinct totals, and seats of one class move
+independently given them.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -41,7 +50,8 @@ from .mf_static import SolverConfig, damped_fixed_point, kernel_grid
 
 DYN_BR_BUDGET = 1_000_000
 DYN_EXACT_CANDIDATE_BUDGET = 1_000_000
-DYN_EXACT_PATH_BUDGET = 5_000_000
+DYN_EXACT_PATH_BUDGET = 2_500_000
+CHAIN_CHUNK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -281,6 +291,22 @@ def _det_stage_value(spec, team, picks, maps, cost, trans) -> float:
     return total
 
 
+def _det_policy_values(spec, team, maps, cost, trans) -> np.ndarray:
+    """Value of every deterministic stage policy, in itertools.product order of the stage maps.
+
+    Backward induction over tails: the values of all tails from stage t
+    on are one batch (tails, W, X), and each stage-t map extends every
+    tail in one numpy pass.
+    """
+    t_i = spec.teams[team]
+    V = np.zeros((1, spec.n_world, t_i.states.size))
+    for t in range(spec.horizon - 1, -1, -1):
+        pu = t_i.obs_kernels[t] @ np.eye(t_i.actions.size)[maps]  # (maps, X, U)
+        q = cost[t][None] if trans[t] is None else cost[t][None] + np.einsum("wxuz,kwz->kwxu", trans[t], V)
+        V = np.einsum("mxu,kwxu->mkwx", pu, q).reshape(-1, spec.n_world, t_i.states.size)
+    return np.einsum("pwx,wx->pw", V, t_i.init_kernel) @ spec.prior
+
+
 @dataclass
 class DynBrResult:
     policy: StagePolicy
@@ -307,14 +333,11 @@ def dynamic_best_response_fixed_flow(
     cost, trans = _flow_tables(spec, team, flows)
     n_cand = len(maps) ** spec.horizon
     if n_cand <= budget:
-        best = None
-        best_picks = None
-        for picks in itertools.product(range(len(maps)), repeat=spec.horizon):
-            v = _det_stage_value(spec, team, picks, maps, cost, trans)
-            if best is None or v < best:
-                best, best_picks = v, picks
-        rows = [_det_rows(maps[m], t_i.actions.size) for m in best_picks]
-        return DynBrResult(StagePolicy.from_rows(rows), float(best), True)
+        values = _det_policy_values(spec, team, maps, cost, trans)
+        best = int(np.argmin(values))
+        picks = np.unravel_index(best, (len(maps),) * spec.horizon)
+        rows = [_det_rows(maps[m], t_i.actions.size) for m in picks]
+        return DynBrResult(StagePolicy.from_rows(rows), float(values[best]), True)
 
     picks = [0] * spec.horizon
     value = _det_stage_value(spec, team, picks, maps, cost, trans)
@@ -567,15 +590,421 @@ def simulate_finite_n(
     )
 
 
-def _behavioral_action_kernels(spec, team, pol: StagePolicy) -> list[np.ndarray]:
-    """Per-stage P(u | x) with the observation integrated out."""
-    return [_action_given_state(spec, team, pol, t) for t in range(spec.horizon)]
+@functools.lru_cache(maxsize=4096)
+def _outcomes(k: int, mask: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every split of k seats over the cells set in `mask`, as counts over
+    `width` cells, with the multinomial coefficients k! / prod(a!)."""
+    live = [c for c in range(width) if mask >> c & 1] or [0]
+    counts, coef = [], []
+    for bars in itertools.combinations(range(k + len(live) - 1), len(live) - 1):
+        edges = (-1,) + bars + (k + len(live) - 1,)
+        row = [0] * width
+        for c, lo, hi in zip(live, edges, edges[1:]):
+            row[c] = hi - lo - 1
+        counts.append(row)
+        coef.append(math.factorial(k) / math.prod(math.factorial(a) for a in row))
+    out = (np.array(counts, dtype=np.int64), np.array(coef))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
-def _exact_path_count(spec: DynamicGameSpec, sizes: tuple[int, int]) -> int:
-    """Work of the exact enumeration: joint (state, action) branches per stage and world point."""
-    branch = math.prod((t.states.size * t.actions.size) ** n for t, n in zip(spec.teams, sizes))
-    return branch * spec.horizon * spec.n_world
+def _split(seats: np.ndarray, probs: np.ndarray, which: np.ndarray):
+    """Multinomial outcomes of seats[r] seats spread over the cells of the
+    law probs[which[r]].
+
+    A table of one law is read without `which`. Cells of zero probability
+    get no seats, so a deterministic row has one outcome. The outcomes and
+    their weights k!/prod(a!) * prod(p^a), a product of powers rather than
+    the exponential of a sum of logs, are tabled once per distinct (seats,
+    law). Returns each outcome's parent row, its cell counts (cells,
+    outcomes) and its weight.
+    """
+    n_laws, width = probs.shape
+    code = seats.astype(np.int64) * n_laws + (which if n_laws > 1 else 0)
+    present = np.bincount(code, minlength=1) > 0
+    kinds = np.flatnonzero(present)
+    kind = (np.cumsum(present) - 1)[code]
+    k_of, law_of = np.divmod(kinds, n_laws)
+    masks = (probs > 0.0) @ (1 << np.arange(width))
+    shape_id = k_of * (1 << width) + masks[law_of]
+    shapes, shape_of = np.unique(shape_id, return_inverse=True)
+    blocks = [_outcomes(int(s) >> width, int(s) & ((1 << width) - 1), width) for s in shapes]
+    per_kind = np.array([len(coef) for _, coef in blocks])[shape_of]
+    start = np.cumsum(per_kind) - per_kind
+    table = np.empty((int(per_kind.sum()), width), dtype=np.int32)
+    weights = np.empty(len(table))
+    for s, (counts, coef) in enumerate(blocks):
+        ks = np.flatnonzero(shape_of == s)
+        pos = (start[ks, None] + np.arange(len(coef))).ravel()
+        table[pos] = np.tile(counts, (len(ks), 1))
+        weights[pos] = (coef * np.prod(probs[law_of[ks], None, :] ** counts, axis=2)).ravel()
+    kids = per_kind[kind]
+    parent = np.repeat(np.arange(len(seats)), kids)
+    j = np.arange(len(parent)) + np.repeat(start[kind] - (np.cumsum(kids) - kids), kids)
+    return parent, np.take(table.T, j, axis=1), weights[j]
+
+
+def _branch(n_rows: int, splits):
+    """Apply a sequence of splits; every row branches into all outcomes.
+
+    Each split is (seats, probs, which): a callable mapping the source row
+    of every current row to the seats to split, the law table, and the
+    law row of every source row (None for a table of one law). Returns
+    the source row of each final outcome, its probability factor, and the
+    counts (cells, outcomes) each split put in its cells, aligned with the
+    outcomes.
+    """
+    src, weight, made = np.arange(n_rows), np.ones(n_rows), []
+    for seats, probs, which in splits:
+        parent, counts, w = _split(seats(src), probs, None if which is None else which[src])
+        src, weight = src[parent], weight[parent] * w
+        made.append((parent, counts))
+    back, out = None, []
+    for parent, counts in reversed(made):
+        out.append(counts if back is None else np.take(counts, back, axis=1))
+        back = parent if back is None else parent[back]
+    return src, weight, out[::-1]
+
+
+def _group(columns, radices):
+    """Group equal rows: (a representative row of each group, group index of every row).
+
+    Rows are coded in mixed radix; when the code would overflow, the code
+    so far is replaced by its dense rank first. Groups come in code order.
+    """
+    code, span = np.zeros(len(columns[0]), dtype=np.int64), 1
+    for col, r in zip(columns, radices):
+        if r <= 1:
+            continue
+        if span * int(r) >= 1 << 62:
+            code = _group([code], [span])[1]
+            span = int(code.max()) + 1
+        code *= int(r)
+        code += col
+        span *= int(r)
+    order = np.argsort(code)
+    ranked = code[order]
+    starts = np.flatnonzero(np.concatenate([[True], ranked[1:] != ranked[:-1]]))
+    inv = np.empty(len(code), dtype=np.int64)
+    inv[order] = np.cumsum(np.concatenate([[False], ranked[1:] != ranked[:-1]]))
+    return order[starts], inv
+
+
+class _StageTables:
+    """Stage-cost and transition tables at each distinct pair of team
+    totals, filled once per world point and stage.
+
+    A key holds team 0's state and action counts, then team 1's; every
+    statistic a cost or transition reads is a function of it. Entries
+    hold both teams' cost tables, so one instance serves the scoring of
+    either team. A statistic-free transition is one table per stage,
+    returned with a single row.
+    """
+
+    def __init__(self, spec: DynamicGameSpec, sizes: tuple[int, int]):
+        self.spec = spec
+        self.blocks, self.scale, radix = [], [], []
+        for ti, n in zip(spec.teams, sizes):
+            for stat, size in ((ti.stat_x, ti.states.size), (ti.stat_u, ti.actions.size)):
+                self.blocks.append((stat, len(radix), len(radix) + size))
+                self.scale += [n] * size
+                radix += [n + 1] * size
+        self.dtype = np.int64 if math.prod(radix) < 1 << 63 else object
+        self.strides = np.array([math.prod(radix[c + 1 :]) for c in range(len(radix))], dtype=self.dtype)
+        self.known: dict[tuple[int, int], tuple] = {}
+        self.fixed: dict[tuple[int, int], np.ndarray] = {}
+
+    def lookup(self, w: int, t: int, code: np.ndarray, keys_of, team: int):
+        """Table entry of every chain row, given the code of its key (the key
+        columns dotted with `strides`) and keys_of(rows), the keys (G, K) of
+        some rows; the cost tables (entries, X, U) of `team`; and each team's
+        transition tables (entries or 1, X, U, X), None at the last stage.
+        New keys are filled first."""
+        known, slots, tabs = self.known.get((w, t), (code[:0], np.zeros(0, dtype=np.int64), None))
+        at = np.minimum(np.searchsorted(known, code), max(len(known) - 1, 0))
+        miss = known[at] != code if len(known) else np.ones(len(code), dtype=bool)
+        if miss.any():
+            new, first = np.unique(code[miss], return_index=True)
+            rows = np.flatnonzero(miss)[first]
+            fresh = self._fill(w, t, keys_of(rows))
+            if tabs is not None:
+                fresh = [None if a is None else np.concatenate([a, b]) for a, b in zip(tabs, fresh)]
+            known = np.concatenate([known, new])
+            slots = np.concatenate([slots, len(slots) + np.arange(len(new))])
+            order = np.argsort(known)
+            known, slots, tabs = known[order], slots[order], fresh
+            self.known[w, t] = (known, slots, tabs)
+            at = np.searchsorted(known, code)
+        inv = slots[at]
+        if t + 1 == self.spec.horizon:
+            return inv, tabs[team], None
+        return inv, tabs[team], [self.fixed[j, t] if tabs[2 + j] is None else tabs[2 + j] for j in range(2)]
+
+    def _fill(self, w: int, t: int, keys: np.ndarray) -> list:
+        """Both teams' cost tables at the keys, then both teams' transition
+        tables (None for a statistic-free one) unless t is the last stage."""
+        frac = keys / np.array(self.scale, dtype=np.float64)
+        sx1, su1, sx2, su2 = ([stat.apply_raw(row) for row in frac[:, lo:hi]] for stat, lo, hi in self.blocks)
+        stats = list(zip(sx1, sx2, su1, su2))
+        out = []
+        for ti in self.spec.teams:
+            cells = list(itertools.product(range(ti.states.size), range(ti.actions.size)))
+            value = ti.stage_cost.value
+            table = [[value(w, x, u, *s) for x, u in cells] for s in stats]
+            out.append(np.array(table).reshape(len(keys), ti.states.size, ti.actions.size))
+        if t + 1 == self.spec.horizon:
+            return out + [None, None]
+        for j, ti in enumerate(self.spec.teams):
+            cells = list(itertools.product(range(ti.states.size), range(ti.actions.size)))
+            tr = ti.transition
+            seen = stats[:1] if tr.statistic_free else stats
+            table = np.array([[tr.rows_at(t, x, u, *s) for x, u in cells] for s in seen], dtype=np.float64)
+            table = table.reshape(len(seen), ti.states.size, ti.actions.size, ti.states.size)
+            if tr.statistic_free:
+                self.fixed[j, t] = table
+            out.append(None if tr.statistic_free else table)
+        return out
+
+
+def _move_sure(probs: np.ndarray, which: np.ndarray, seats: np.ndarray, dest: np.ndarray):
+    """Move, in place, the seats of every row whose law probs[which] has
+    one live cell into that cell's row of dest; such a move has
+    probability one. Returns the seats left to branch, or None when none
+    are. A table of one law is read without `which`.
+    """
+    live = probs > 0.0
+    sure, cell = live.sum(axis=1) == 1, live.argmax(axis=1)
+    if (probs == probs[0]).all():
+        if not sure[0]:
+            return seats
+        dest[cell[0]] += seats
+        return None
+    hit, to = sure[which], cell[which]
+    for c in range(len(dest)):
+        dest[c] += seats * (hit & (to == c))
+    return seats * ~hit
+
+
+def _chain_costs(spec: DynamicGameSpec, team: int, classes, tables: _StageTables) -> np.ndarray:
+    """Expected total cost of `team` for each candidate, by a forward
+    Markov chain on count configurations.
+
+    Each class is (team, seats, law), law of shape (K or 1, H, X, U): the
+    class's P(u | x) per stage for each of K candidates, or shared by all.
+    A chain row is one candidate with its seat count per (class, state);
+    arrays hold one row of counts per (class, state) cell, one column per
+    chain row. Per stage every (class, state) cell splits its seats over
+    actions, the team totals key the cost and transition tables, and
+    every (class, state, action) cell moves its seats to next states.
+    Cells whose law puts all mass on one outcome move in bulk; the others
+    branch into every multinomial outcome, and rows with equal
+    configurations merge after each branching move and at the end of the
+    stage.
+    """
+    n_cand = max(len(law) for _, _, law in classes)
+    n_team = [sum(k for j, k, _ in classes if j == i) for i in range(2)]
+    dims = [(t.states.size, t.actions.size) for t in spec.teams]
+    n_x = [dims[j][0] for j, _, _ in classes]
+    n_xu = [dims[j][0] * dims[j][1] for j, _, _ in classes]
+    state_at, act_at = np.cumsum([0] + n_x), np.cumsum([0] + n_xu)
+    state_radix = np.repeat([k + 1 for _, k, _ in classes], n_x)
+    act_radix = np.repeat([k + 1 for _, k, _ in classes], n_xu)
+    cells = [(ci, j, x, u) for ci, (j, _, _) in enumerate(classes) for x in range(dims[j][0]) for u in range(dims[j][1])]
+    # act rows summed into each key column (per team: state totals, then
+    # action totals), the key code of each act row, and the act rows of
+    # each of the scored team's (x, u) cells
+    key_terms = []
+    for i, (nx, nu) in enumerate(dims):
+        mine = [act_at[ci] for ci, (j, _, _) in enumerate(classes) if j == i]
+        key_terms += [[lo + x * nu + u for lo in mine for u in range(nu)] for x in range(nx)]
+        key_terms += [[lo + x * nu + u for lo in mine for x in range(nx)] for u in range(nu)]
+    act_code = [sum(int(tables.strides[c]) for c, rows in enumerate(key_terms) if a in rows) for a in range(len(cells))]
+    own = [act_at[ci] for ci, (j, _, _) in enumerate(classes) if j == team]
+    own_terms = [[lo + c for lo in own] for c in range(dims[team][0] * dims[team][1])]
+
+    def total(act, rows):
+        out = act[rows[0]].copy()
+        for r in rows[1:]:
+            out += act[r]
+        return out
+
+    out = np.zeros(n_cand)
+    for w in range(spec.n_world):
+        init = [(lambda src, k=k: np.full(len(src), k), spec.teams[j].init_kernel[w][None], None) for j, k, _ in classes]
+        _, p, made = _branch(1, init)
+        state = np.tile(np.concatenate(made), (1, n_cand))
+        cand, p = np.repeat(np.arange(n_cand), len(p)), np.tile(p, n_cand)
+        acc = np.zeros(n_cand)
+        for t in range(spec.horizon):
+            # actions: every (class, state) cell splits its seats by P(u | x)
+            act = np.zeros((len(cells), len(p)), dtype=np.int32)
+            splits = []
+            for ci, (j, _, law) in enumerate(classes):
+                for x in range(dims[j][0]):
+                    lo = act_at[ci] + x * dims[j][1]
+                    rest = _move_sure(law[:, t, x], cand, state[state_at[ci] + x], act[lo : lo + dims[j][1]])
+                    if rest is not None and rest.any():
+                        splits.append((lo, rest, law[:, t, x]))
+            if splits:
+                src, w_act, made = _branch(len(p), [(lambda src, r=rest: r[src], law, cand) for _, rest, law in splits])
+                p, cand, act = p[src] * w_act, cand[src], np.take(act, src, axis=1)
+                for (lo, _, _), counts in zip(splits, made):
+                    act[lo : lo + len(counts)] += counts
+            # costs and transitions: one table entry per distinct pair of team totals
+            code = np.zeros(len(p), dtype=tables.dtype)
+            for r, c in enumerate(act_code):
+                code += act[r].astype(tables.dtype) * c
+            keys_of = lambda rows: np.stack([total(act[:, rows], cols) for cols in key_terms], axis=1)  # noqa: E731
+            inv, cost, trans = tables.lookup(w, t, code, keys_of, team)
+            cost = cost.reshape(len(cost), -1)
+            stage = functools.reduce(np.add, (total(act, rows) * cost[inv, c] for c, rows in enumerate(own_terms)))
+            acc += np.bincount(cand, weights=p * stage / n_team[team], minlength=n_cand)
+            if trans is None:
+                break
+            # moves: every (class, state, action) cell spreads its seats over next states
+            nxt = np.zeros((state_at[-1], len(p)), dtype=np.int32)
+            for a, (ci, j, x, u) in enumerate(cells):
+                if act[a].any():
+                    dest = nxt[state_at[ci] : state_at[ci + 1]]
+                    rest = _move_sure(trans[j][:, x, u], inv, act[a], dest)
+                    act[a] = 0 if rest is None else rest
+            todo = [a for a in range(len(cells)) if act[a].any()]
+            rest, rest_radix = act[todo], act_radix[todo]
+            for a in todo:
+                ci, j, x, u = cells[a]
+                parent, counts, w_mv = _split(rest[0], trans[j][:, x, u], inv)
+                rest, rest_radix = np.take(rest[1:], parent, axis=1), rest_radix[1:]
+                p, nxt, cand, inv = p[parent] * w_mv, np.take(nxt, parent, axis=1), cand[parent], inv[parent]
+                nxt[state_at[ci] : state_at[ci + 1]] += counts
+                if len(rest):
+                    keep, g = _group([cand, inv, *rest, *nxt], [n_cand, len(cost), *rest_radix, *state_radix])
+                    rest, nxt, cand, inv = np.take(rest, keep, axis=1), np.take(nxt, keep, axis=1), cand[keep], inv[keep]
+                    p = np.bincount(g, weights=p)
+            keep, g = _group([cand, *nxt], [n_cand, *state_radix])
+            p, state, cand = np.bincount(g, weights=p), np.take(nxt, keep, axis=1), cand[keep]
+        out += float(spec.prior[w]) * acc
+    return out
+
+
+def _team_classes(spec: DynamicGameSpec, team: int, pols: Sequence[StagePolicy]):
+    """Group a team's seats by their stage kernels P(u | x): (team, seats, law) per class, in order of first seat."""
+    groups: dict[bytes, list] = {}
+    for p in pols:
+        law = np.stack([_action_given_state(spec, team, p, t) for t in range(spec.horizon)])
+        groups.setdefault(law.tobytes(), [law, 0])[1] += 1
+    return [(team, k, law[None]) for law, k in groups.values()]
+
+
+def _rows(k: int, cells: int) -> int:
+    """Count vectors of k seats over `cells` cells."""
+    return math.comb(k + cells - 1, k)
+
+
+def _moves_branch(spec: DynamicGameSpec, team: int) -> bool:
+    """Whether a seat of the team can move to more than one next state:
+    a transition row with several next states, or one that reads the
+    statistics."""
+    tr = spec.teams[team].transition
+    return not (tr.statistic_free and ((tr.raw_rows() > 0.0).sum(axis=1) == 1).all())
+
+
+def _class_rows(spec: DynamicGameSpec, team: int, k: int, cells: int, t: int) -> int:
+    """Chain rows one class of k seats with `cells` live (state, action)
+    cells multiplies in at stage t: its count vectors over those cells,
+    times its next-state count vectors when its moves branch."""
+    rows = _rows(k, cells)
+    if t + 1 < spec.horizon and _moves_branch(spec, team):
+        rows *= _rows(k, spec.teams[team].states.size)
+    return rows
+
+
+def _stage_passes(spec: DynamicGameSpec, t: int) -> int:
+    """Passes over the rows of stage t: branching moves split the (state,
+    action) cells one at a time, each pass over rows that already carry
+    the earlier cells' next states."""
+    if t + 1 < spec.horizon and any(_moves_branch(spec, j) for j in range(2)):
+        return max(ti.states.size * ti.actions.size for ti in spec.teams)
+    return 1
+
+
+def _poly_mul(a: list[int], b: list[int], n: int) -> list[int]:
+    return [sum(a[i] * b[d - i] for i in range(d + 1)) for d in range(n + 1)]
+
+
+def _multiset_rows(n: int, factors: dict[int, tuple[list[int], int]]) -> int:
+    """Sum over multisets of n seats on policies of the product, over the
+    policies used, of each one's factor at its seat count. `factors`
+    holds (f, count): count policies whose factor at k seats is f[k],
+    f[0] = 1. A generating function, raised to each count by squaring."""
+    total = [1] + [0] * n
+    for f, count in factors.values():
+        while count:
+            if count & 1:
+                total = _poly_mul(total, f, n)
+            f, count = _poly_mul(f, f, n), count >> 1
+    return total[n]
+
+
+def _live_cells(law: np.ndarray) -> np.ndarray:
+    """(state, action) cells of positive probability per stage: (..., H, X, U) -> (..., H)."""
+    return (law > 0.0).sum(axis=(-2, -1))
+
+
+def _chain_work(spec: DynamicGameSpec, classes) -> int:
+    """Rows the chain builds for fixed classes, bounded from arithmetic:
+    per world point and stage, the product over classes of _class_rows,
+    times _stage_passes. The action step builds at most the count vectors
+    over live cells, and the moves at most that many times the next-state
+    vectors."""
+    per_stage = [
+        _stage_passes(spec, t)
+        * math.prod(_class_rows(spec, j, k, int(_live_cells(law[0])[t]), t) for j, k, law in classes)
+        for t in range(spec.horizon)
+    ]
+    return spec.n_world * sum(per_stage)
+
+
+def _stage_map_laws(spec: DynamicGameSpec, team: int, t: int) -> np.ndarray:
+    """P(u | x) at stage t of every observation-to-action map, lexicographic: (U^Y, X, U)."""
+    ti = spec.teams[team]
+    maps = list(itertools.product(range(ti.actions.size), repeat=ti.observations.size))
+    return ti.obs_kernels[t] @ np.eye(ti.actions.size)[maps]
+
+
+def _exact_work(spec: DynamicGameSpec, sizes, base, candidate_budget: int) -> list[tuple[str, int, int]]:
+    """What exact dynamic epsilon needs, as (what, required, budget) rows.
+
+    Per team: the multisets of n deterministic stage policies,
+    C(n + M - 1, n) with M = (U^Y)^H; then, when those fit, the chain rows
+    of scoring the base pair and every multiset against the opponent's
+    base policy (see _chain_work). A policy's live cells at stage t depend
+    only on its stage-t map, so the sum over multisets is a generating
+    function over the stage maps. Pure arithmetic: nothing of the chain is
+    built and no cost or transition is evaluated.
+    """
+    rows = []
+    base_classes = [(j, sizes[j], _team_classes(spec, j, [base[j]])[0][2]) for j in range(2)]
+    for i, ti in enumerate(spec.teams):
+        n = sizes[i]
+        n_maps = ti.actions.size**ti.observations.size
+        multisets = math.comb(n + n_maps**spec.horizon - 1, n)
+        rows.append((f"team {i} deviation multisets", multisets, candidate_budget))
+        if multisets > candidate_budget:
+            continue
+        opp, _, opp_law = base_classes[1 - i]
+        work = 0
+        for t in range(spec.horizon):
+            cells = collections.Counter(_live_cells(_stage_map_laws(spec, i, t)).tolist())
+            factors = {
+                s: ([1] + [_class_rows(spec, i, k, s, t) for k in range(1, n + 1)], c * n_maps ** (spec.horizon - 1))
+                for s, c in cells.items()
+            }
+            opp_rows = _class_rows(spec, opp, sizes[opp], int(_live_cells(opp_law[0])[t]), t)
+            work += _stage_passes(spec, t) * opp_rows * _multiset_rows(n, factors)
+        required = _chain_work(spec, base_classes) + spec.n_world * work
+        rows.append((f"team {i} exact chain rows", required, DYN_EXACT_PATH_BUDGET))
+    return rows
 
 
 def exact_dynamic_cost(
@@ -587,89 +1016,19 @@ def exact_dynamic_cost(
 ) -> float:
     """Exact expected team cost of the coupled finite system.
 
-    Enumerates the joint state configuration of every seat on both teams
-    and, per stage, every joint action combination; observations are
-    integrated out seat by seat. Exponential in the seat counts, so this
-    is a certification oracle for small instances only.
+    Seats with equal stage kernels form a class, and the chain runs on the
+    seat counts per (class, state): see _chain_costs. Its size grows with
+    the count vectors of each class, polynomially in the class sizes;
+    path_budget caps the rows it may build (_chain_work), checked before
+    anything is built.
     """
     sizes = (int(team_sizes[0]), int(team_sizes[1]))
     pols = [_seat_policies(spec, i, list(seat_pols[i]), sizes[i]) for i in range(2)]
-    n_tot = sizes[0] + sizes[1]
-    est = _exact_path_count(spec, sizes)
-    if est > path_budget:
-        raise BudgetError("exact dynamic enumeration", est, path_budget)
-
-    pu = [
-        [_behavioral_action_kernels(spec, i, p) for p in pols[i]]
-        for i in range(2)
-    ]
-    seat_team = [0] * sizes[0] + [1] * sizes[1]
-    per_world = []
-    for w in range(spec.n_world):
-        dist: dict[tuple[int, ...], float] = {}
-        for combo in itertools.product(*[range(spec.teams[seat_team[k]].states.size) for k in range(n_tot)]):
-            p = 1.0
-            for k, x in enumerate(combo):
-                p *= spec.teams[seat_team[k]].init_kernel[w, x]
-                if p == 0.0:
-                    break
-            if p > 0.0:
-                dist[combo] = dist.get(combo, 0.0) + p
-        total = 0.0
-        for t in range(spec.horizon):
-            nxt: dict[tuple[int, ...], float] = {}
-            for config, p_cfg in dist.items():
-                act_branches = []
-                for k, x in enumerate(config):
-                    i = seat_team[k]
-                    seat = k - (0 if i == 0 else sizes[0])
-                    row = pu[i][seat][t][x]
-                    act_branches.append([(u, row[u]) for u in np.flatnonzero(row)])
-                for joint_u in itertools.product(*act_branches):
-                    p_act = p_cfg
-                    for _, pr in joint_u:
-                        p_act *= pr
-                    if p_act == 0.0:
-                        continue
-                    us = [int(b[0]) for b in joint_u]
-                    stats = []
-                    for i in range(2):
-                        lo = 0 if i == 0 else sizes[0]
-                        hi = lo + sizes[i]
-                        ti = spec.teams[i]
-                        ex = np.bincount(config[lo:hi], minlength=ti.states.size) / sizes[i]
-                        eu = np.bincount(us[lo:hi], minlength=ti.actions.size) / sizes[i]
-                        stats.append((ti.stat_x.apply_raw(ex), ti.stat_u.apply_raw(eu)))
-                    sx1, su1 = stats[0]
-                    sx2, su2 = stats[1]
-                    lo = 0 if team == 0 else sizes[0]
-                    hi = lo + sizes[team]
-                    ti = spec.teams[team]
-                    stage = sum(
-                        ti.stage_cost.value(w, config[k], us[k], sx1, sx2, su1, su2)
-                        for k in range(lo, hi)
-                    ) / sizes[team]
-                    total += p_act * stage
-                    if t + 1 == spec.horizon:
-                        continue
-                    nxt_branches = []
-                    for k, x in enumerate(config):
-                        i = seat_team[k]
-                        row = np.asarray(
-                            spec.teams[i].transition.rows_at(t, x, us[k], sx1, sx2, su1, su2),
-                            dtype=float,
-                        )
-                        nxt_branches.append([(z, row[z]) for z in np.flatnonzero(row)])
-                    for joint_x in itertools.product(*nxt_branches):
-                        q = p_act
-                        for _, pr in joint_x:
-                            q *= pr
-                        if q > 0.0:
-                            key = tuple(int(b[0]) for b in joint_x)
-                            nxt[key] = nxt.get(key, 0.0) + q
-            dist = nxt
-        per_world.append(float(spec.prior[w]) * total)
-    return math.fsum(per_world)
+    classes = _team_classes(spec, 0, pols[0]) + _team_classes(spec, 1, pols[1])
+    required = _chain_work(spec, classes)
+    if required > path_budget:
+        raise BudgetError("exact dynamic chain rows", required, path_budget)
+    return float(_chain_costs(spec, team, classes, _StageTables(spec, sizes))[0])
 
 
 def _det_stage_policies(spec: DynamicGameSpec, team: int) -> list[StagePolicy]:
@@ -680,6 +1039,46 @@ def _det_stage_policies(spec: DynamicGameSpec, team: int) -> list[StagePolicy]:
     for picks in itertools.product(maps, repeat=spec.horizon):
         out.append(StagePolicy.from_rows([_det_rows(m, t_i.actions.size) for m in picks]))
     return out
+
+
+def _det_policy_laws(spec: DynamicGameSpec, team: int) -> np.ndarray:
+    """P(u | x) per stage of every deterministic stage policy, in the order of _det_stage_policies: (M, H, X, U)."""
+    stages = [_stage_map_laws(spec, team, t) for t in range(spec.horizon)]
+    picks = np.array(list(itertools.product(range(len(stages[0])), repeat=spec.horizon)), dtype=np.int64)
+    return np.stack([law[picks[:, t]] for t, law in enumerate(stages)], axis=1)
+
+
+def _multisets_by_sizes(n_pol: int, n: int) -> dict[tuple[int, ...], np.ndarray]:
+    """Multisets of n seats on n_pol policies, grouped by their class sizes.
+
+    Keys are the seat counts of the policies used, largest first; each
+    row lists a multiset's policies in that order, ties by index.
+    """
+    groups: dict[tuple[int, ...], list] = {}
+    for combo in itertools.combinations_with_replacement(range(n_pol), n):
+        runs = sorted((-len(list(g)), m) for m, g in itertools.groupby(combo))
+        groups.setdefault(tuple(-c for c, _ in runs), []).append([m for _, m in runs])
+    return {k: np.array(v, dtype=np.int64) for k, v in groups.items()}
+
+
+def _best_deviation_cost(spec, team, sizes, opp_classes, tables) -> float:
+    """Least exact cost of `team` over the multisets of its deterministic stage policies."""
+    det = _det_policy_laws(spec, team)
+    most = _live_cells(det).max(axis=0)
+    best = math.inf
+    for seats, pols in _multisets_by_sizes(len(det), sizes[team]).items():
+        per_cand = max(
+            _stage_passes(spec, t)
+            * math.prod(_class_rows(spec, team, k, int(most[t]), t) for k in seats)
+            * math.prod(_class_rows(spec, j, k, int(_live_cells(law[0])[t]), t) for j, k, law in opp_classes)
+            for t in range(spec.horizon)
+        )
+        step = max(1, CHAIN_CHUNK_ROWS // per_cand)
+        for lo in range(0, len(pols), step):
+            chunk = pols[lo : lo + step]
+            classes = [(team, k, det[chunk[:, c]]) for c, k in enumerate(seats)] + opp_classes
+            best = min(best, float(_chain_costs(spec, team, classes, tables).min()))
+    return best
 
 
 def dynamic_epsilon_estimate(
@@ -694,10 +1093,17 @@ def dynamic_epsilon_estimate(
 ) -> EpsilonReport:
     """Epsilon certificate for symmetric stage policies at finite sizes.
 
-    Exact mode enumerates every joint deterministic seat deviation of the
-    deviating team inside the coupled system. Monte Carlo mode is a lower
-    bound over symmetric stage-kernel grids plus single-seat deterministic
-    deviations, reported with a combined CI halfwidth.
+    Exact mode scores every joint deterministic seat deviation of the
+    deviating team inside the coupled system. A joint deviation matters
+    only through the multiset of deterministic stage policies it uses, so
+    it scores the C(N + M - 1, M - 1) multisets of the M = (U^Y)^H
+    policies on the count chain, batched by their class sizes;
+    best_deviations stays (None, None). candidate_budget caps the
+    multisets and DYN_EXACT_PATH_BUDGET the chain rows per team
+    (_exact_work), both checked before anything is built; auto mode is
+    exact when both fit. Monte Carlo mode is a lower bound over symmetric
+    stage-kernel grids plus single-seat deterministic deviations, reported
+    with a combined CI halfwidth.
     """
     sizes = (int(team_sizes[0]), int(team_sizes[1]))
     base = (pols[0], pols[1])
@@ -705,28 +1111,21 @@ def dynamic_epsilon_estimate(
         _check_stage_policy(spec, i, base[i])
     if mode not in ("auto", "exact", "monte-carlo"):
         raise ModelError(f"unknown mode {mode!r}")
-    n_joint = [
-        (t.actions.size ** t.observations.size) ** (spec.horizon * n) for t, n in zip(spec.teams, sizes)
-    ]
-    if mode == "auto":
-        fits = max(n_joint) <= candidate_budget and _exact_path_count(spec, sizes) <= DYN_EXACT_PATH_BUDGET
-        mode = "exact" if fits else "monte-carlo"
+    if mode != "monte-carlo":
+        work = _exact_work(spec, sizes, base, candidate_budget)
+        over = [row for row in work if row[1] > row[2]]
+        if mode == "auto":
+            mode = "monte-carlo" if over else "exact"
+        elif over:
+            raise BudgetError(*over[0])
 
     if mode == "exact":
+        eps, tables = [], _StageTables(spec, sizes)
         for i in range(2):
-            if n_joint[i] > candidate_budget:
-                raise BudgetError(f"team {i} joint deviation candidates", n_joint[i], candidate_budget)
-        eps = []
-        for i in range(2):
-            cur = exact_dynamic_cost(spec, sizes, ([base[0]] * sizes[0], [base[1]] * sizes[1]), i)
-            dets = _det_stage_policies(spec, i)
-            best = None
-            for combo in itertools.product(dets, repeat=sizes[i]):
-                seats = [list(combo), [base[1]] * sizes[1]] if i == 0 else [[base[0]] * sizes[0], list(combo)]
-                v = exact_dynamic_cost(spec, sizes, (seats[0], seats[1]), i)
-                if best is None or v < best:
-                    best = v
-            eps.append(cur - best)
+            opp = [(1 - i, sizes[1 - i], law) for _, _, law in _team_classes(spec, 1 - i, [base[1 - i]])]
+            own = [(i, sizes[i], law) for _, _, law in _team_classes(spec, i, [base[i]])]
+            cur = float(_chain_costs(spec, i, own + opp, tables)[0])
+            eps.append(cur - _best_deviation_cost(spec, i, sizes, opp, tables))
         return EpsilonReport(eps=(eps[0], eps[1]), best_deviations=(None, None), method="exact", ci_halfwidth=0.0)
 
     if rng is None:

@@ -25,6 +25,7 @@ batch agrees with its members bit for bit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -304,10 +305,12 @@ def _grid_verdicts(spec: StaticGameSpec, team: int, stats, target, resolution: f
     point. A tied candidate passes here; _tie_rule settles it.
     """
     S = _score_matrix(spec, team, *stats)
-    allowed = S <= S.min(axis=-1, keepdims=True) + tie_tol
-    tied = (allowed.sum(axis=-1) > 1).any(axis=-1)
+    n_u = S.shape[-1]
+    # reductions over the short action axis go slice by slice, left to right
+    allowed = S <= functools.reduce(np.minimum, (S[..., u] for u in range(n_u)))[..., None] + tie_tol
+    tied = (functools.reduce(np.add, (allowed[..., u] for u in range(n_u)), 0) > 1).any(axis=-1)
     induced = spec.teams[team].obs_kernel @ allowed.astype(np.float64)
-    tv = 0.5 * np.abs(induced - target).sum(axis=-1)
+    tv = 0.5 * functools.reduce(np.add, (np.abs(induced[..., u] - target[..., u]) for u in range(n_u)))
     return tied | (tv.max(axis=-1) < resolution), tied, allowed
 
 

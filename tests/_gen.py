@@ -144,3 +144,57 @@ def random_exchangeable_policy(rng, n_obs, n_actions, n_dms) -> TeamPolicy:
     weights = raw / raw.sum()
     comps = [(float(w), random_det_profile(rng, n_obs, n_actions, n_dms)) for w in weights]
     return symmetrize(TeamPolicy.mixture(comps))
+
+
+def random_dynamic_spec(rng, n_states: int, n_actions: int, n_obs: int, n_world: int, transition: str, horizon=2):
+    """Coupled two-team chain with random kernels.
+
+    transition is "fixed" (a random dense table per stage) or
+    "mean-field-mixture" (a random base tilted towards the own state
+    flow). The stage cost reads the statistics whenever its family can:
+    congestion, action congestion, or a static cost of the action means.
+    """
+    from teamfield.core.specs import DynamicGameSpec
+
+    teams = []
+    for _ in range(2):
+        stat_u = _statistic(rng, n_actions)
+        costs = [("congestion", {}), ("state-indicator", {"state": int(rng.integers(0, n_states))})]
+        costs.append(("static-action", {"family": "track-opponent-mean"}))
+        if stat_u["kind"] == "identity":
+            costs.append(("action-congestion", {}))
+        fam, params = costs[int(rng.integers(0, len(costs)))]
+        def table():
+            return _rows(rng, n_states * n_actions, n_states).reshape(n_states, n_actions, n_states).tolist()
+
+        if transition == "fixed":
+            tr = {"family": "fixed", "params": {"rows": [table() for _ in range(horizon)]}}
+        else:
+            tr = {"family": "mean-field-mixture", "params": {"weight": float(rng.uniform(0.2, 0.8)), "base": table()}}
+        teams.append(
+            {
+                "states": n_states,
+                "actions": n_actions,
+                "observations": n_obs,
+                "init_kernel": _rows(rng, n_world, n_states).tolist(),
+                "obs_model": _rows(rng, n_states, n_obs).tolist(),
+                "transition": tr,
+                "cost": {"family": fam, "params": params},
+                "stat_x": {"kind": "identity"},
+                "stat_u": stat_u,
+            }
+        )
+    prior = _rows(rng, 1, n_world)[0].tolist()
+    doc = {"kind": "dynamic", "world": n_world, "prior": prior, "horizon": horizon, "teams": teams}
+    return DynamicGameSpec.from_dict(doc)
+
+
+def random_stage_policy(rng, spec, team: int, deterministic: bool = False):
+    """A stage policy for one seat: random rows, or a random deterministic map per stage."""
+    from teamfield.dynamic import StagePolicy
+
+    t = spec.teams[team]
+    if deterministic:
+        picks = rng.integers(0, t.actions.size, size=(spec.horizon, t.observations.size))
+        return StagePolicy.from_rows([np.eye(t.actions.size)[p] for p in picks])
+    return StagePolicy.from_rows([_rows(rng, t.observations.size, t.actions.size) for _ in range(spec.horizon)])

@@ -3,9 +3,11 @@
 Everything here is written the slow, obvious way: direct enumeration
 over joint profiles with exact rational probabilities, seat-by-seat
 enumeration of joint action profiles and joint deterministic deviations,
-plain loops for chain propagation, and a candidate-by-candidate mean-field
+statically and over a finite horizon, plain loops for chain propagation
+and frozen-flow best responses, and a candidate-by-candidate mean-field
 grid search on scalar cost evaluations. None of it shares code with the
-package's count-class and batched cost paths, which is the point.
+package's count-class, count-chain and batched cost paths, which is the
+point.
 """
 
 from __future__ import annotations
@@ -418,3 +420,133 @@ def exploitability_oracle(spec, b1, b2, resolution):
         eps.append(cost(laws[i]) - best)
         devs.append(best_rows)
     return eps, devs
+
+
+def _stage_action_kernels(spec, team, pol):
+    """P(u | x) per stage for one seat: observation channel composed with the rule."""
+    return [spec.teams[team].obs_kernels[t] @ pol.kernels[t].rows for t in range(spec.horizon)]
+
+
+def seat_exact_dynamic_cost(spec, team_sizes, seat_pols, team):
+    """Exact expected team cost of the coupled finite system, seat by seat.
+
+    Keeps a dict over every seat's joint state, branches over every joint
+    action and every joint next state, and reads the statistics from the
+    empirical measures of each joint configuration. Exponential in the
+    seat counts; this is the engine the count-vector chain replaced.
+    """
+    sizes = (int(team_sizes[0]), int(team_sizes[1]))
+    pu = [[_stage_action_kernels(spec, i, p) for p in seat_pols[i]] for i in range(2)]
+    n_tot = sizes[0] + sizes[1]
+    seat_team = [0] * sizes[0] + [1] * sizes[1]
+    per_world = []
+    for w in range(spec.n_world):
+        dist = {}
+        for combo in itertools.product(*[range(spec.teams[seat_team[k]].states.size) for k in range(n_tot)]):
+            p = 1.0
+            for k, x in enumerate(combo):
+                p *= spec.teams[seat_team[k]].init_kernel[w, x]
+            if p > 0.0:
+                dist[combo] = dist.get(combo, 0.0) + p
+        total = 0.0
+        for t in range(spec.horizon):
+            nxt = {}
+            for config, p_cfg in dist.items():
+                act_branches = []
+                for k, x in enumerate(config):
+                    i = seat_team[k]
+                    row = pu[i][k - (0 if i == 0 else sizes[0])][t][x]
+                    act_branches.append([(u, row[u]) for u in np.flatnonzero(row)])
+                for joint_u in itertools.product(*act_branches):
+                    p_act = p_cfg
+                    for _, pr in joint_u:
+                        p_act *= pr
+                    if p_act == 0.0:
+                        continue
+                    us = [int(b[0]) for b in joint_u]
+                    stats = []
+                    for i in range(2):
+                        lo = 0 if i == 0 else sizes[0]
+                        ti = spec.teams[i]
+                        ex = np.bincount(config[lo : lo + sizes[i]], minlength=ti.states.size) / sizes[i]
+                        eu = np.bincount(us[lo : lo + sizes[i]], minlength=ti.actions.size) / sizes[i]
+                        stats.append((ti.stat_x.apply_raw(ex), ti.stat_u.apply_raw(eu)))
+                    (sx1, su1), (sx2, su2) = stats
+                    lo = 0 if team == 0 else sizes[0]
+                    ti = spec.teams[team]
+                    stage = sum(
+                        ti.stage_cost.value(w, config[k], us[k], sx1, sx2, su1, su2) for k in range(lo, lo + sizes[team])
+                    ) / sizes[team]
+                    total += p_act * stage
+                    if t + 1 == spec.horizon:
+                        continue
+                    nxt_branches = []
+                    for k, x in enumerate(config):
+                        row = np.asarray(
+                            spec.teams[seat_team[k]].transition.rows_at(t, x, us[k], sx1, sx2, su1, su2), dtype=float
+                        )
+                        nxt_branches.append([(z, row[z]) for z in np.flatnonzero(row)])
+                    for joint_x in itertools.product(*nxt_branches):
+                        q = p_act
+                        for _, pr in joint_x:
+                            q *= pr
+                        if q > 0.0:
+                            key = tuple(int(b[0]) for b in joint_x)
+                            nxt[key] = nxt.get(key, 0.0) + q
+            dist = nxt
+        per_world.append(float(spec.prior[w]) * total)
+    return math.fsum(per_world)
+
+
+def det_stage_policies(spec, team):
+    """Every deterministic stage policy of one seat, lexicographic in the stage maps."""
+    from teamfield.dynamic import StagePolicy
+
+    t = spec.teams[team]
+    maps = list(itertools.product(range(t.actions.size), repeat=t.observations.size))
+    return [
+        StagePolicy.from_rows([np.eye(t.actions.size)[list(m)] for m in picks])
+        for picks in itertools.product(maps, repeat=spec.horizon)
+    ]
+
+
+def seat_dynamic_epsilon(spec, team_sizes, pols):
+    """Exact dynamic epsilon by brute force over seat-indexed joint deviations."""
+    sizes = (int(team_sizes[0]), int(team_sizes[1]))
+    eps = []
+    for i in range(2):
+        base = [[pols[0]] * sizes[0], [pols[1]] * sizes[1]]
+        cur = seat_exact_dynamic_cost(spec, sizes, base, i)
+        best = None
+        for combo in itertools.product(det_stage_policies(spec, i), repeat=sizes[i]):
+            seats = list(base)
+            seats[i] = list(combo)
+            v = seat_exact_dynamic_cost(spec, sizes, seats, i)
+            best = v if best is None or v < best else best
+        eps.append(cur - best)
+    return tuple(eps)
+
+
+def loop_best_response(spec, team, cost, trans):
+    """Exhaustive frozen-flow best response, one deterministic stage policy at a time.
+
+    cost[t][w] is (X, U), trans[t][w] is (X, U, X) or trans[t] is None at
+    the last stage. Returns (value, picks) of the first minimum in
+    itertools.product order of the stage maps.
+    """
+    t_i = spec.teams[team]
+    maps = list(itertools.product(range(t_i.actions.size), repeat=t_i.observations.size))
+    best = None
+    for picks in itertools.product(range(len(maps)), repeat=spec.horizon):
+        total = 0.0
+        for w in range(spec.n_world):
+            V = np.zeros(t_i.states.size)
+            for t in range(spec.horizon - 1, -1, -1):
+                pu = t_i.obs_kernels[t] @ np.eye(t_i.actions.size)[list(maps[picks[t]])]
+                stage = (pu * cost[t][w]).sum(axis=1)
+                cont = np.einsum("xu,xuz,z->x", pu, trans[t][w], V) if trans[t] is not None else 0.0
+                V = stage + cont
+            total += float(spec.prior[w]) * float(t_i.init_kernel[w] @ V)
+        if best is None or total < best[0]:
+            best = (total, picks)
+    return best

@@ -1,9 +1,14 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from teamfield.core.errors import BudgetError, ModelError
-from teamfield.core.specs import DynamicGameSpec, StaticGameSpec
+from teamfield.core.specs import DynamicGameSpec, StaticGameSpec, validate_dynamic_spec
 from teamfield.dynamic import (
+    DYN_EXACT_CANDIDATE_BUDGET,
+    DYN_EXACT_PATH_BUDGET,
     DynamicMFEquilibrium,
     StagePolicy,
     dynamic_best_response_fixed_flow,
@@ -16,7 +21,8 @@ from teamfield.dynamic import (
 )
 from teamfield.io import load_spec
 from teamfield.mf_static import SolverConfig
-from tests._oracles import oracle_chain_cost
+from tests._gen import random_dynamic_spec, random_stage_policy
+from tests._oracles import loop_best_response, oracle_chain_cost, seat_dynamic_epsilon, seat_exact_dynamic_cost
 from tests._paths import GAMES
 
 CHAIN = GAMES / "state_copies_action.json"
@@ -338,3 +344,208 @@ def test_horizon_one_reproduces_the_one_shot_game():
     stat_rep = epsilon_ne_certify(inst, team, team)
     for i in range(2):
         assert dyn_rep.eps[i] == pytest.approx(stat_rep.eps[i], abs=1e-12)
+
+
+# -- count-vector chain against the seat-indexed oracle ----------------------
+
+
+def _seat_mix(rng, spec, team, n):
+    """n seat policies: two share a random rule, the rest deterministic or random."""
+    shared = random_stage_policy(rng, spec, team)
+    pols = [shared, shared][:n]
+    while len(pols) < n:
+        pols.append(random_stage_policy(rng, spec, team, deterministic=len(pols) % 2 == 0))
+    return pols
+
+
+@pytest.mark.parametrize("game", [CROWD, CHAIN])
+@pytest.mark.parametrize("sizes", [(1, 1), (1, 3), (2, 2), (3, 2), (3, 3)])
+def test_count_chain_matches_seat_oracle_on_bundled_games(game, sizes):
+    spec = load_spec(game)
+    rng = np.random.default_rng(sum(sizes) + 7 * (game == CHAIN))
+    for seats in (
+        ([StagePolicy.uniform(spec, 0)] * sizes[0], [StagePolicy.uniform(spec, 1)] * sizes[1]),
+        (_seat_mix(rng, spec, 0, sizes[0]), _seat_mix(rng, spec, 1, sizes[1])),
+    ):
+        for team in range(2):
+            got = exact_dynamic_cost(spec, sizes, seats, team)
+            assert got == pytest.approx(seat_exact_dynamic_cost(spec, sizes, seats, team), abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_count_chain_matches_seat_oracle_on_random_chains(seed):
+    rng = np.random.default_rng(1000 + seed)
+    n_x, n_u = 2 + seed % 2, 2 + (seed // 2) % 2
+    n_y, n_w = 1 + (seed // 4) % 2, 1 + (seed // 8) % 2
+    spec = random_dynamic_spec(rng, n_x, n_u, n_y, n_w, ("fixed", "mean-field-mixture")[seed % 2 ^ (seed // 8) % 2])
+    assert validate_dynamic_spec(spec).ok
+    sizes = (3, 1) if n_x * n_u == 4 else (2, 1)
+    seats = (_seat_mix(rng, spec, 0, sizes[0]), _seat_mix(rng, spec, 1, sizes[1]))
+    for team in range(2):
+        got = exact_dynamic_cost(spec, sizes, seats, team)
+        assert got == pytest.approx(seat_exact_dynamic_cost(spec, sizes, seats, team), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        ("crowd", (2, 2)),
+        ("chain", (2, 1)),
+        ("random", 3),
+        ("random", 4),
+        ("random", 5),
+    ],
+)
+def test_exact_epsilon_matches_seat_brute_force(case):
+    kind, arg = case
+    if kind == "random":
+        rng = np.random.default_rng(arg)
+        spec = random_dynamic_spec(rng, 2, 2, 1 + arg % 2, 1 + (arg // 4), ("fixed", "mean-field-mixture")[arg % 2])
+        sizes = (2, 1)
+        pols = (random_stage_policy(rng, spec, 0), random_stage_policy(rng, spec, 1))
+    else:
+        spec = load_spec(CROWD if kind == "crowd" else CHAIN)
+        sizes = arg
+        pols = (StagePolicy.uniform(spec, 0), StagePolicy.uniform(spec, 1))
+    rep = dynamic_epsilon_estimate(spec, sizes, pols, mode="exact")
+    assert rep.method == "exact"
+    assert rep.best_deviations == (None, None)
+    want = seat_dynamic_epsilon(spec, sizes, pols)
+    for i in range(2):
+        assert rep.eps[i] == pytest.approx(want[i], abs=1e-12)
+
+
+def test_crowd_epsilon_closed_form():
+    # the best joint deviation splits the team evenly over the two stage-1
+    # states, so eps = floor(N/2)/N^2 for the uniform pair
+    spec = load_spec(CROWD)
+    pol = StagePolicy.uniform(spec, 0)
+    for n in range(2, 9):
+        rep = dynamic_epsilon_estimate(spec, (n, n), (pol, pol), mode="exact")
+        assert rep.method == "exact"
+        for e in rep.eps:
+            assert e == pytest.approx((n // 2) / n**2, abs=1e-12)
+
+
+# -- batched frozen-flow best response against the policy-by-policy loop ------
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_frozen_flow_best_response_matches_loop(seed):
+    from teamfield.dynamic import _flow_tables
+
+    rng = np.random.default_rng(seed)
+    if seed < 2:
+        spec = load_spec((CROWD, CHAIN)[seed])
+    else:
+        spec = random_dynamic_spec(rng, 3, 3, 2, 2, ("fixed", "mean-field-mixture")[seed % 2], horizon=2 + seed % 3)
+    pols = (random_stage_policy(rng, spec, 0), random_stage_policy(rng, spec, 1))
+    flows = propagate_mf_flow(spec, pols)
+    for team in range(2):
+        br = dynamic_best_response_fixed_flow(spec, team, flows)
+        value, picks = loop_best_response(spec, team, *_flow_tables(spec, team, flows))
+        assert br.exhaustive
+        assert br.value == pytest.approx(value, abs=1e-12)
+        t = spec.teams[team]
+        maps = list(itertools.product(range(t.actions.size), repeat=t.observations.size))
+        for k, m in zip(br.policy.kernels, picks):
+            np.testing.assert_array_equal(k.rows, np.eye(t.actions.size)[list(maps[m])])
+
+
+def test_frozen_flow_best_response_keeps_the_first_minimum():
+    from teamfield.dynamic import _flow_tables
+
+    # blind seats whose stage-1 action is free: every stage-1 map ties, so
+    # the lexicographically first one (action 0) must win
+    spec = load_spec(CROWD)
+    pol = StagePolicy.uniform(spec, 0)
+    flows = propagate_mf_flow(spec, (pol, pol))
+    br = dynamic_best_response_fixed_flow(spec, 0, flows)
+    value, picks = loop_best_response(spec, 0, *_flow_tables(spec, 0, flows))
+    assert br.value == value
+    np.testing.assert_array_equal(br.policy.kernels[1].rows, [[1.0, 0.0]])
+    assert picks[1] == 0
+
+
+# -- budgets ------------------------------------------------------------------
+
+
+def _count_evaluations(monkeypatch, spec):
+    calls = []
+    for t in spec.teams:
+        for obj, name in ((t.stage_cost, "value"), (t.transition, "rows_at")):
+            inner = getattr(obj, name)
+            monkeypatch.setattr(obj, name, lambda *a, _f=inner, **k: calls.append(1) or _f(*a, **k))
+    return calls
+
+
+def test_exact_budgets_raise_before_any_cost_or_transition_call(monkeypatch):
+    spec = load_spec(CROWD)
+    pol = StagePolicy.uniform(spec, 0)
+    calls = _count_evaluations(monkeypatch, spec)
+    with pytest.raises(BudgetError) as info:
+        dynamic_epsilon_estimate(spec, (40, 40), (pol, pol), mode="exact")
+    assert info.value.what == "team 0 exact chain rows"
+    assert info.value.required > DYN_EXACT_PATH_BUDGET
+    with pytest.raises(BudgetError) as info:
+        dynamic_epsilon_estimate(spec, (3, 3), (pol, pol), mode="exact", candidate_budget=19)
+    assert (info.value.what, info.value.required) == ("team 0 deviation multisets", 20)
+    with pytest.raises(BudgetError):
+        exact_dynamic_cost(spec, (3, 3), ([pol] * 3, [pol] * 3), 0, path_budget=10)
+    assert calls == []
+    # the same call inside the budgets does evaluate costs
+    exact_dynamic_cost(spec, (3, 3), ([pol] * 3, [pol] * 3), 0)
+    assert calls
+
+
+def test_chain_work_counts_multisets_and_rows():
+    from teamfield.dynamic import _exact_work
+
+    spec = load_spec(CROWD)
+    pol = StagePolicy.uniform(spec, 0)
+    # 4 deterministic stage policies; blind seats put one action per state,
+    # the uniform opponent both, and the copy rule never branches: at N=2,
+    # stage 0 has sum over multisets of prod(k+1) = C(9, 7) = 36 team
+    # configurations times C(5, 3) = 10 opponent ones, and so has stage 1
+    work = _exact_work(spec, (2, 2), (pol, pol), DYN_EXACT_CANDIDATE_BUDGET)
+    base = 2 * math.comb(5, 3) ** 2
+    assert work[0] == ("team 0 deviation multisets", 10, DYN_EXACT_CANDIDATE_BUDGET)
+    assert work[1] == ("team 0 exact chain rows", base + 2 * 36 * 10, DYN_EXACT_PATH_BUDGET)
+
+
+def test_auto_mode_uses_the_shared_work_helper(monkeypatch):
+    import teamfield.dynamic as dynamic
+
+    spec = load_spec(CROWD)
+    pol = StagePolicy.uniform(spec, 0)
+    assert dynamic_epsilon_estimate(spec, (3, 3), (pol, pol), rng=1, reps=100).method == "exact"
+    assert dynamic_epsilon_estimate(spec, (16, 16), (pol, pol), rng=1, reps=100).method == "monte-carlo"
+    seen = []
+    helper = dynamic._exact_work
+    monkeypatch.setattr(dynamic, "_exact_work", lambda *a: seen.append(a) or helper(*a))
+    monkeypatch.setattr(dynamic, "DYN_EXACT_PATH_BUDGET", 100)
+    rep = dynamic_epsilon_estimate(spec, (3, 3), (pol, pol), rng=1, reps=100)
+    assert rep.method == "monte-carlo"
+    assert len(seen) == 1
+
+
+@pytest.mark.parametrize("case", ["crowd", "chain", "mixture"])
+def test_chain_builds_no_more_rows_than_its_budget_counts(monkeypatch, case):
+    # the chain's action-step tables together, and the tables its moves
+    # merge together, stay within the row count the budget checks
+    import teamfield.dynamic as dynamic
+
+    if case == "mixture":
+        rng = np.random.default_rng(8)
+        spec, sizes = random_dynamic_spec(rng, 3, 2, 1, 2, "mean-field-mixture"), (2, 1)
+    else:
+        spec, sizes = load_spec(CROWD if case == "crowd" else CHAIN), (4, 3)
+    pols = (StagePolicy.uniform(spec, 0), StagePolicy.uniform(spec, 1))
+    looked, grouped = [], []
+    lookup, group = dynamic._StageTables.lookup, dynamic._group
+    monkeypatch.setattr(dynamic._StageTables, "lookup", lambda self, *a: looked.append(len(a[2])) or lookup(self, *a))
+    monkeypatch.setattr(dynamic, "_group", lambda cols, radices: grouped.append(len(cols[0])) or group(cols, radices))
+    dynamic_epsilon_estimate(spec, sizes, pols, mode="exact")
+    required = sum(r for what, r, _ in dynamic._exact_work(spec, sizes, pols, DYN_EXACT_CANDIDATE_BUDGET) if "rows" in what)
+    assert sum(looked) <= required
+    assert sum(grouped) <= required
