@@ -804,6 +804,7 @@ def _chain_costs(spec: DynamicGameSpec, team: int, classes, tables: _StageTables
     """
     n_cand = max(len(law) for _, _, law in classes)
     n_team = [sum(k for j, k, _ in classes if j == i) for i in range(2)]
+    count = np.int16 if max(n_team) < 1 << 15 else np.int32  # holds every seat count and team total
     dims = [(t.states.size, t.actions.size) for t in spec.teams]
     n_x = [dims[j][0] for j, _, _ in classes]
     n_xu = [dims[j][0] * dims[j][1] for j, _, _ in classes]
@@ -833,12 +834,12 @@ def _chain_costs(spec: DynamicGameSpec, team: int, classes, tables: _StageTables
     for w in range(spec.n_world):
         init = [(lambda src, k=k: np.full(len(src), k), spec.teams[j].init_kernel[w][None], None) for j, k, _ in classes]
         _, p, made = _branch(1, init)
-        state = np.tile(np.concatenate(made), (1, n_cand))
+        state = np.tile(np.concatenate(made).astype(count), (1, n_cand))
         cand, p = np.repeat(np.arange(n_cand), len(p)), np.tile(p, n_cand)
         acc = np.zeros(n_cand)
         for t in range(spec.horizon):
             # actions: every (class, state) cell splits its seats by P(u | x)
-            act = np.zeros((len(cells), len(p)), dtype=np.int32)
+            act = np.zeros((len(cells), len(p)), dtype=count)
             splits = []
             for ci, (j, _, law) in enumerate(classes):
                 for x in range(dims[j][0]):
@@ -863,7 +864,7 @@ def _chain_costs(spec: DynamicGameSpec, team: int, classes, tables: _StageTables
             if trans is None:
                 break
             # moves: every (class, state, action) cell spreads its seats over next states
-            nxt = np.zeros((state_at[-1], len(p)), dtype=np.int32)
+            nxt = np.zeros((state_at[-1], len(p)), dtype=count)
             for a, (ci, j, x, u) in enumerate(cells):
                 if act[a].any():
                     dest = nxt[state_at[ci] : state_at[ci + 1]]
