@@ -9,9 +9,13 @@ statistic the scalar view is the index mean of the measure, which
 coincides with the mean-embedding value under the embedding
 (0, 1, ..., n-1).
 
-Transition families produce one row of the controlled kernel at a time and
-may depend on the same statistic values, which is how the mean-field
-coupling enters the dynamics.
+Stage costs and transitions are evaluated a table at a time: ``table``
+takes statistics with leading key axes (one key per row of statistics)
+and returns the stage costs over every (state, action), or the rows of
+the controlled kernel over every (state, action, next state). A
+transition may read the same statistics, which is how the mean-field
+coupling enters the dynamics. The scalar ``value`` and ``rows_at`` read
+one entry of a table.
 """
 
 from __future__ import annotations
@@ -38,17 +42,26 @@ def scalar_view(s) -> float:
     Scalars pass through. A measure is reduced to its index mean, so a
     Bernoulli action law (1-m, m) becomes m.
     """
-    if np.isscalar(s) or isinstance(s, (float, int)):
-        return float(s)
-    w = np.asarray(getattr(s, "weights", s), dtype=np.float64)
-    return float(w @ np.arange(len(w)))
+    return float(_scalar_views(s, 0))
 
 
-def _vector_view(s) -> np.ndarray:
+def _vector_view(s, n_keys=None) -> np.ndarray:
+    """Measure-valued statistics, with n_keys leading key axes if given."""
     w = np.asarray(getattr(s, "weights", s), dtype=np.float64)
-    if w.ndim != 1:
+    if w.ndim == 0 or n_keys is not None and w.ndim != n_keys + 1:
         raise ModelError("expected a measure-valued statistic")
     return w
+
+
+def _scalar_views(s, n_keys: int) -> np.ndarray:
+    """scalar_view of every statistic in a batch with n_keys leading key
+    axes: one dot product per measure, so a batch matches its members bit
+    for bit."""
+    w = np.asarray(getattr(s, "weights", s), dtype=np.float64)
+    if w.ndim == n_keys:
+        return w
+    w = np.ascontiguousarray(w)
+    return (w[..., None, :] @ np.arange(w.shape[-1], dtype=np.float64)[:, None])[..., 0, 0]
 
 
 class _StaticCost:
@@ -243,6 +256,11 @@ class _StageCost:
         self.params = dict(params)
 
     def value(self, omega0, x, u, sx1, sx2, su1, su2) -> float:
+        return float(self.table(omega0, (x + 1, u + 1), sx1, sx2, su1, su2)[x, u])
+
+    def table(self, omega0, shape, sx1, sx2, su1, su2) -> np.ndarray:
+        """Stage costs of shape (keys..., X, U) = shape over the first X states
+        and U actions, at statistics with the leading key axes keys."""
         raise NotImplementedError
 
     def needs_identity_state_stat(self) -> bool:
@@ -259,8 +277,8 @@ class DynConstantCost(_StageCost):
         super().__init__(team, params)
         self.c = float(params.get("value", 0.0))
 
-    def value(self, omega0, x, u, sx1, sx2, su1, su2):
-        return self.c
+    def table(self, omega0, shape, sx1, sx2, su1, su2):
+        return np.full(shape, self.c)
 
 
 class StateIndicatorCost(_StageCost):
@@ -272,8 +290,8 @@ class StateIndicatorCost(_StageCost):
         super().__init__(team, params)
         self.state = int(params.get("state", 0))
 
-    def value(self, omega0, x, u, sx1, sx2, su1, su2):
-        return 1.0 if x == self.state else 0.0
+    def table(self, omega0, shape, sx1, sx2, su1, su2):
+        return np.broadcast_to((np.arange(shape[-2]) == self.state)[:, None] * 1.0, shape)
 
 
 class StateCongestionCost(_StageCost):
@@ -284,9 +302,9 @@ class StateCongestionCost(_StageCost):
     def needs_identity_state_stat(self) -> bool:
         return True
 
-    def value(self, omega0, x, u, sx1, sx2, su1, su2):
-        own = sx1 if self.team == 0 else sx2
-        return float(_vector_view(own)[x])
+    def table(self, omega0, shape, sx1, sx2, su1, su2):
+        own = _vector_view(sx1 if self.team == 0 else sx2, len(shape) - 2)
+        return np.broadcast_to(own[..., : shape[-2], None], shape)
 
 
 class ActionCongestionCost(_StageCost):
@@ -294,9 +312,9 @@ class ActionCongestionCost(_StageCost):
 
     name = "action-congestion"
 
-    def value(self, omega0, x, u, sx1, sx2, su1, su2):
-        own = su1 if self.team == 0 else su2
-        return float(_vector_view(own)[u])
+    def table(self, omega0, shape, sx1, sx2, su1, su2):
+        own = _vector_view(su1 if self.team == 0 else su2, len(shape) - 2)
+        return np.broadcast_to(own[..., None, : shape[-1]], shape)
 
 
 class StaticActionStageCost(_StageCost):
@@ -314,8 +332,12 @@ class StaticActionStageCost(_StageCost):
         super().__init__(team, params)
         self._inner = make_static_cost(dict(params), team)
 
-    def value(self, omega0, x, u, sx1, sx2, su1, su2):
-        return self._inner.value(omega0, u, su1, su2)
+    def table(self, omega0, shape, sx1, sx2, su1, su2):
+        s1, s2 = (_scalar_views(s, len(shape) - 2)[..., None] for s in (su1, su2))
+        out = np.empty(shape)
+        for u in range(shape[-1]):
+            out[..., u] = self._inner.value_batch(omega0, u, s1, s2)
+        return out
 
 
 DYNAMIC_COST_FAMILIES = {
@@ -338,8 +360,15 @@ def make_stage_cost(d: dict, team: int):
 
 
 class _Transition:
+    """Base for transition families.
+
+    Each family holds tables of shape (stages, X, U, X): one per stage, or
+    one shared by every stage. A statistic-free family's kernel is its
+    table; the others read the statistics on top of it.
+    """
+
     name = ""
-    statistic_free = False
+    statistic_free = True
 
     def __init__(self, team: int, params: dict, n_states: int, n_actions: int):
         self.team = int(team)
@@ -348,12 +377,17 @@ class _Transition:
         self.n_actions = int(n_actions)
 
     def rows_at(self, t, x, u, sx1, sx2, su1, su2) -> np.ndarray:
-        raise NotImplementedError
+        return self.table(t, sx1, sx2, su1, su2)[..., x, u, :]
 
-    def raw_rows(self):
-        """Underlying tables, one row per (stage, state, action), or None
-        when there are none. Every statistic-free family has one."""
-        return None
+    def table(self, t, sx1, sx2, su1, su2) -> np.ndarray:
+        """Next-state rows of shape (keys..., X, U, X) at stage t, at
+        statistics with leading key axes; (X, U, X) when statistic-free.
+        Stages past the tables reuse the last one."""
+        return self._tables[min(t, len(self._tables) - 1)]
+
+    def raw_rows(self) -> np.ndarray:
+        """Underlying tables, one row per (stage, state, action)."""
+        return self._tables.reshape(-1, self.n_states)
 
     def to_dict(self) -> dict:
         return {"family": self.name, "params": dict(self.params)}
@@ -367,7 +401,6 @@ class FixedTransition(_Transition):
     """
 
     name = "fixed"
-    statistic_free = True
 
     def __init__(self, team, params, n_states, n_actions):
         super().__init__(team, params, n_states, n_actions)
@@ -378,31 +411,17 @@ class FixedTransition(_Transition):
             raise ModelError("fixed transition table has the wrong shape")
         self._tables = rows
 
-    def rows_at(self, t, x, u, sx1, sx2, su1, su2):
-        table = self._tables[min(t, self._tables.shape[0] - 1)]
-        return table[x, u]
-
-    def raw_rows(self):
-        return self._tables.reshape(-1, self.n_states)
-
 
 class StateCopiesAction(_Transition):
     """The next state is exactly the action just taken."""
 
     name = "state-copies-action"
-    statistic_free = True
 
     def __init__(self, team, params, n_states, n_actions):
         super().__init__(team, params, n_states, n_actions)
         if n_states != n_actions:
             raise ModelError("state-copies-action needs matching state and action counts")
-        self._eye = np.eye(n_states)
-
-    def rows_at(self, t, x, u, sx1, sx2, su1, su2):
-        return self._eye[u]
-
-    def raw_rows(self):
-        return np.tile(self._eye, (self.n_states, 1))
+        self._tables = np.tile(np.eye(n_states), (1, n_states, 1, 1))
 
 
 class MeanFieldMixtureTransition(_Transition):
@@ -414,6 +433,7 @@ class MeanFieldMixtureTransition(_Transition):
     """
 
     name = "mean-field-mixture"
+    statistic_free = False
 
     def __init__(self, team, params, n_states, n_actions):
         super().__init__(team, params, n_states, n_actions)
@@ -423,15 +443,11 @@ class MeanFieldMixtureTransition(_Transition):
         base = np.asarray(params["base"], dtype=np.float64)
         if base.shape != (n_states, n_actions, n_states):
             raise ModelError("mean-field-mixture base table has the wrong shape")
-        self._base = base
+        self._tables = base[None]
 
-    def rows_at(self, t, x, u, sx1, sx2, su1, su2):
-        own = sx1 if self.team == 0 else sx2
-        mu = _vector_view(own)
-        return (1.0 - self.weight) * self._base[x, u] + self.weight * mu
-
-    def raw_rows(self):
-        return self._base.reshape(-1, self.n_states)
+    def table(self, t, sx1, sx2, su1, su2):
+        mu = _vector_view(sx1 if self.team == 0 else sx2)
+        return (1.0 - self.weight) * self._tables[0] + self.weight * mu[..., None, None, :]
 
 
 TRANSITION_FAMILIES = {

@@ -218,10 +218,15 @@ class StatisticMap:
         return float(w @ self.embedding)
 
     def apply_raw(self, w: np.ndarray):
-        """Same as apply but keeps identity outputs as bare arrays."""
+        """Same as apply for measures (..., size) with any leading axes, but
+        keeps identity outputs as bare arrays. An embedding takes one dot
+        product per measure, as a lone one gets, so a batch matches its
+        members bit for bit."""
         if self.kind == "identity":
             return w
-        return float(w @ self.embedding)
+        w = np.ascontiguousarray(w, dtype=np.float64)
+        out = (w[..., None, :] @ self.embedding[:, None])[..., 0, 0]
+        return float(out) if out.ndim == 0 else out
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind}

@@ -356,8 +356,7 @@ def validate_dynamic_spec(spec: DynamicGameSpec) -> ValidationReport:
 
     for i, t in enumerate(spec.teams):
         raw = t.transition.raw_rows()
-        if raw is not None:
-            _check_rows(entries, raw, raw.shape, f"team {i} transition table")
+        _check_rows(entries, raw, raw.shape, f"team {i} transition table")
         probe_sets = [
             x_probes[0][:2] + x_probes[0][-1:],
             x_probes[1][:2] + x_probes[1][-1:],
@@ -371,17 +370,24 @@ def validate_dynamic_spec(spec: DynamicGameSpec) -> ValidationReport:
 
 
 def _probe_dynamic_team(spec, i, t, probe_sets) -> str:
-    """First violation found while probing one team's transition and cost."""
+    """First violation found while probing one team's transition and cost,
+    in (stage, state, action, probe) order. Each stage reads one table over
+    every combination of probe statistics."""
+    combos = list(itertools.product(*probe_sets))
+    stats = [np.stack(s) for s in zip(*combos)]
+    n_x, n_u = t.states.size, t.actions.size
     for stage in range(spec.horizon):
-        for x in range(t.states.size):
-            for u in range(t.actions.size):
-                for sx1, sx2, su1, su2 in itertools.product(*probe_sets):
-                    row = np.asarray(t.transition.rows_at(stage, x, u, sx1, sx2, su1, su2), float)
-                    if row.shape != (t.states.size,):
-                        return f"team {i} transition row has the wrong length"
-                    if np.any(row < -1e-12) or abs(float(row.sum()) - 1.0) > KERNEL_TOL:
-                        return f"team {i} transition row at (t={stage}, x={x}, u={u}) is not a distribution"
-                    v = t.stage_cost.value(0, x, u, sx1, sx2, su1, su2)
-                    if not np.isfinite(v) or v < 0.0:
-                        return f"team {i} stage cost invalid ({v:g}) at a probe point"
+        rows = np.asarray(t.transition.table(stage, *stats), float)
+        if rows.shape[-3:] != (n_x, n_u, n_x):
+            return f"team {i} transition row has the wrong length"
+        rows = np.broadcast_to(rows, (len(combos), n_x, n_u, n_x))
+        costs = np.asarray(t.stage_cost.table(0, (len(combos), n_x, n_u), *stats), float)
+        bad_row = np.any(rows < -1e-12, axis=-1) | (np.abs(rows.sum(axis=-1) - 1.0) > KERNEL_TOL)
+        bad_cost = ~np.isfinite(costs) | (costs < 0.0)
+        found = np.argwhere(np.moveaxis(bad_row | bad_cost, 0, -1))
+        if len(found):
+            x, u, k = found[0]
+            if bad_row[k, x, u]:
+                return f"team {i} transition row at (t={stage}, x={x}, u={u}) is not a distribution"
+            return f"team {i} stage cost invalid ({costs[k, x, u]:g}) at a probe point"
     return ""

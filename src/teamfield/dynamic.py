@@ -14,11 +14,17 @@ here. The simulator feeds every seat the realized empirical measures
 (deviators included), which is exactly what the finite-team epsilon
 estimates need.
 
+Every path reads stage costs and transitions as tables over (state,
+action), filled by one helper, _stage_tables, for a batch of both
+teams' state and action laws: the flows at a stage and world point,
+the empirical measures of a simulated stage, or the distinct count
+totals of a chain stage.
+
 The exact finite-team engine is a forward Markov chain on count
 configurations: seats with equal stage kernels form a class, and a
 chain row holds the seat count per (class, state). Costs and
-transitions read only the teams' count totals, so their tables are
-filled once per distinct totals, and seats of one class move
+transitions read only the teams' count totals, so each stage fills its
+tables once per distinct totals, and seats of one class move
 independently given them.
 """
 
@@ -28,6 +34,7 @@ import collections
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -113,15 +120,7 @@ class FlowProfile:
         return self.joints[team][t][w].sum(axis=0)
 
     def max_tv(self, other: "FlowProfile") -> float:
-        worst = 0.0
-        for i in range(2):
-            for t in range(self.horizon):
-                for w in range(self.n_world):
-                    worst = max(
-                        worst,
-                        tv_distance(self.joints[i][t][w].ravel(), other.joints[i][t][w].ravel()),
-                    )
-        return worst
+        return max(self.team_tv(other, i) for i in range(2))
 
     def team_tv(self, other: "FlowProfile", team: int) -> float:
         worst = 0.0
@@ -159,14 +158,26 @@ def _action_given_state(spec: DynamicGameSpec, team: int, pol: StagePolicy, t: i
     return spec.teams[team].obs_kernels[t] @ pol.kernels[t].rows
 
 
-def _flow_stats(spec: DynamicGameSpec, joints_t: Sequence[np.ndarray], w: int) -> tuple:
-    sx = []
-    su = []
-    for i in range(2):
-        j = joints_t[i][w]
-        sx.append(spec.teams[i].stat_x.apply_raw(j.sum(axis=1)))
-        su.append(spec.teams[i].stat_u.apply_raw(j.sum(axis=0)))
-    return sx[0], sx[1], su[0], su[1]
+def _stage_tables(spec: DynamicGameSpec, w: int, t: int, laws):
+    """Both teams' stage-cost and transition tables at stage t and world
+    point w, given laws = ((mu_0, nu_0), (mu_1, nu_1)), each team's state
+    and action laws with the same leading key axes.
+
+    Returns the cost tables (keys..., X, U) and the transition tables
+    (keys..., X, U, X), or (X, U, X) for a statistic-free transition; the
+    transitions are None at the last stage.
+    """
+    (sx1, su1), (sx2, su2) = ((ti.stat_x.apply_raw(mu), ti.stat_u.apply_raw(nu)) for ti, (mu, nu) in zip(spec.teams, laws))
+    keys = laws[0][0].shape[:-1]
+    costs = [ti.stage_cost.table(w, keys + (ti.states.size, ti.actions.size), sx1, sx2, su1, su2) for ti in spec.teams]
+    if t + 1 == spec.horizon:
+        return costs, None
+    return costs, [ti.transition.table(t, sx1, sx2, su1, su2) for ti in spec.teams]
+
+
+def _marginals(joint: np.ndarray):
+    """State and action laws of joint (state, action) laws (..., X, U)."""
+    return joint.sum(axis=-1), joint.sum(axis=-2)
 
 
 def propagate_mf_flow(
@@ -195,19 +206,11 @@ def propagate_mf_flow(
             break
         nxt = [np.zeros_like(mu[0]), np.zeros_like(mu[1])]
         for w in range(n_w):
-            sx1, sx2, su1, su2 = _flow_stats(spec, joints_t, w)
+            _, trans = _stage_tables(spec, w, t, [_marginals(j[w]) for j in joints_t])
             for i in range(2):
-                t_i = spec.teams[i]
-                acc = np.zeros(t_i.states.size)
-                joint = joints_t[i][w]
-                for x in range(t_i.states.size):
-                    for u in range(t_i.actions.size):
-                        m = joint[x, u]
-                        if m > 0.0:
-                            acc += m * np.asarray(
-                                t_i.transition.rows_at(t, x, u, sx1, sx2, su1, su2), dtype=float
-                            )
-                nxt[i][w] = acc
+                # a running sum over the (state, action) cells in order fixes the rounding
+                flow = joints_t[i][w][:, :, None] * trans[i]
+                nxt[i][w] = functools.reduce(np.add, flow.reshape(-1, flow.shape[-1]))
         mu = nxt
     return FlowProfile(joints=(tuple(out[0]), tuple(out[1])))
 
@@ -218,26 +221,12 @@ def _flow_tables(spec: DynamicGameSpec, team: int, flows: FlowProfile):
     cost[t][w] has shape (X, U); trans[t][w] has shape (X, U, X). The last
     stage carries no transition table.
     """
-    t_i = spec.teams[team]
     cost = []
     trans = []
     for t in range(spec.horizon):
-        ct = np.empty((spec.n_world, t_i.states.size, t_i.actions.size))
-        pt = (
-            np.empty((spec.n_world, t_i.states.size, t_i.actions.size, t_i.states.size))
-            if t + 1 < spec.horizon
-            else None
-        )
-        for w in range(spec.n_world):
-            joints_t = [flows.joints[0][t], flows.joints[1][t]]
-            sx1, sx2, su1, su2 = _flow_stats(spec, joints_t, w)
-            for x in range(t_i.states.size):
-                for u in range(t_i.actions.size):
-                    ct[w, x, u] = t_i.stage_cost.value(w, x, u, sx1, sx2, su1, su2)
-                    if pt is not None:
-                        pt[w, x, u] = t_i.transition.rows_at(t, x, u, sx1, sx2, su1, su2)
-        cost.append(ct)
-        trans.append(pt)
+        tables = [_stage_tables(spec, w, t, [_marginals(j[t][w]) for j in flows.joints]) for w in range(spec.n_world)]
+        cost.append(np.stack([c[team] for c, _ in tables]))
+        trans.append(None if t + 1 == spec.horizon else np.stack([p[team] for _, p in tables]))
     return cost, trans
 
 
@@ -380,13 +369,14 @@ def _soft_stage_rows(spec, team, rows, flows, tau):
             rho[t + 1, w] = np.einsum("xu,xuz->z", joint, trans[t][w])
 
     V = np.zeros((T + 1, spec.n_world, n_x))
+    q = np.empty((T, spec.n_world, n_x, n_u))
     for t in range(T - 1, -1, -1):
         pu = t_i.obs_kernels[t] @ rows[t]
         for w in range(spec.n_world):
-            q = cost[t][w] + (
+            q[t, w] = cost[t][w] + (
                 np.einsum("xuz,z->xu", trans[t][w], V[t + 1, w]) if trans[t] is not None else 0.0
             )
-            V[t, w] = (pu * q).sum(axis=1)
+            V[t, w] = (pu * q[t, w]).sum(axis=1)
 
     out = []
     for t in range(T):
@@ -394,11 +384,8 @@ def _soft_stage_rows(spec, team, rows, flows, tau):
         score = np.zeros((t_i.observations.size, n_u))
         norm = np.zeros(t_i.observations.size)
         for w in range(spec.n_world):
-            q = cost[t][w] + (
-                np.einsum("xuz,z->xu", trans[t][w], V[t + 1, w]) if trans[t] is not None else 0.0
-            )
             weight = float(spec.prior[w]) * rho[t, w]
-            score += obs.T @ (weight[:, None] * q)
+            score += obs.T @ (weight[:, None] * q[t, w])
             norm += obs.T @ weight
         resp = np.empty_like(score)
         for y in range(score.shape[0]):
@@ -482,8 +469,12 @@ class SimulationReport:
     world_counts: np.ndarray
 
 
-def _simulate_episode(spec, sizes, seat_pols, seed, episode):
-    """One coupled episode; returns per-team costs and empirical joints."""
+def _simulate_episode(spec, sizes, rules, seed, episode):
+    """One coupled episode; returns per-team costs and empirical joints.
+
+    rules[i][t] holds the running sums of team i's seat rules at stage t,
+    shaped (seats, Y, U).
+    """
     g = _philox(seed, episode)
     w0 = int(_draw(np.cumsum(spec.prior), g.random()))
     xs = []
@@ -502,39 +493,23 @@ def _simulate_episode(spec, sizes, seat_pols, seed, episode):
             obs_cum = np.cumsum(ti.obs_kernels[t], axis=1)
             y = (obs_cum[xs[i]] <= g.random(sizes[i])[:, None]).sum(axis=1)
             y = np.minimum(y, ti.observations.size - 1)
-            rows = np.stack([p.kernels[t].rows for p in seat_pols[i]])
-            cum = np.cumsum(rows, axis=2)
-            sel = cum[np.arange(sizes[i]), y]
+            sel = rules[i][t][np.arange(sizes[i]), y]
             u = (sel <= g.random(sizes[i])[:, None]).sum(axis=1)
             us.append(np.minimum(u, ti.actions.size - 1))
-        stats = []
         for i in range(2):
-            ti = spec.teams[i]
-            joint = np.zeros((ti.states.size, ti.actions.size))
-            np.add.at(joint, (xs[i], us[i]), 1.0)
-            joint /= sizes[i]
-            emp_joints[i][t] = joint
-            stats.append((ti.stat_x.apply_raw(joint.sum(axis=1)), ti.stat_u.apply_raw(joint.sum(axis=0))))
-        sx1, su1 = stats[0]
-        sx2, su2 = stats[1]
+            np.add.at(emp_joints[i][t], (xs[i], us[i]), 1.0)
+            emp_joints[i][t] /= sizes[i]
+        cost, trans = _stage_tables(spec, w0, t, [_marginals(e[t]) for e in emp_joints])
         for i in range(2):
-            ti = spec.teams[i]
             joint = emp_joints[i][t]
-            for x, u in zip(*np.nonzero(joint)):
-                costs[i] += joint[x, u] * ti.stage_cost.value(w0, int(x), int(u), sx1, sx2, su1, su2)
-        if t + 1 == spec.horizon:
+            # a running sum over the occupied cells in order fixes the rounding
+            costs[i] = functools.reduce(operator.add, (joint * cost[i])[joint != 0], costs[i])
+        if trans is None:
             break
         for i in range(2):
-            ti = spec.teams[i]
-            nxt = np.empty(sizes[i], dtype=np.int64)
-            pair_ids = xs[i] * ti.actions.size + us[i]
-            draws = g.random(sizes[i])
-            for pid in np.unique(pair_ids):
-                x, u = divmod(int(pid), ti.actions.size)
-                row = np.asarray(ti.transition.rows_at(t, x, u, sx1, sx2, su1, su2), dtype=float)
-                mask = pair_ids == pid
-                nxt[mask] = _draw(np.cumsum(row), draws[mask])
-            xs[i] = nxt
+            cum = np.cumsum(trans[i], axis=-1)[xs[i], us[i]]
+            nxt = (cum <= g.random(sizes[i])[:, None]).sum(axis=1)
+            xs[i] = np.minimum(nxt, spec.teams[i].states.size - 1)
     return w0, costs[0], costs[1], emp_joints
 
 
@@ -558,8 +533,12 @@ def simulate_finite_n(
     if min(sizes) < 1:
         raise ModelError("team sizes must be >= 1")
     seat_pols = [_seat_policies(spec, i, pols[i], sizes[i]) for i in range(2)]
+    rules = [
+        [np.cumsum(np.stack([p.kernels[t].rows for p in seat_pols[i]]), axis=2) for t in range(spec.horizon)]
+        for i in range(2)
+    ]
     seed = _seed_of(rng)
-    results = [_simulate_episode(spec, sizes, seat_pols, seed, e) for e in range(reps)]
+    results = [_simulate_episode(spec, sizes, rules, seed, e) for e in range(reps)]
     counts = np.zeros(spec.n_world)
     flow_acc = [
         np.zeros((spec.n_world, spec.horizon, spec.teams[i].states.size, spec.teams[i].actions.size))
@@ -691,80 +670,29 @@ def _group(columns, radices):
     return order[starts], inv
 
 
-class _StageTables:
-    """Stage-cost and transition tables at each distinct pair of team
-    totals, filled once per world point and stage.
+def _keyed_tables(spec: DynamicGameSpec, w: int, t: int, totals, n_team):
+    """Stage tables of every chain row, filled once per distinct pair of
+    team totals.
 
-    A key holds team 0's state and action counts, then team 1's; every
-    statistic a cost or transition reads is a function of it. Entries
-    hold both teams' cost tables, so one instance serves the scoring of
-    either team. A statistic-free transition is one table per stage,
-    returned with a single row.
+    totals[i] holds team i's seat count per (state, action) cell, one
+    column per row: (X*U, rows). Every statistic a cost or transition
+    reads is a function of the teams' state and action totals, which key
+    the tables. Returns each row's key, both teams' cost tables (keys, X,
+    U), and both teams' transition tables (keys or 1, X, U, X), None at
+    the last stage.
     """
-
-    def __init__(self, spec: DynamicGameSpec, sizes: tuple[int, int]):
-        self.spec = spec
-        self.blocks, self.scale, radix = [], [], []
-        for ti, n in zip(spec.teams, sizes):
-            for stat, size in ((ti.stat_x, ti.states.size), (ti.stat_u, ti.actions.size)):
-                self.blocks.append((stat, len(radix), len(radix) + size))
-                self.scale += [n] * size
-                radix += [n + 1] * size
-        self.dtype = np.int64 if math.prod(radix) < 1 << 63 else object
-        self.strides = np.array([math.prod(radix[c + 1 :]) for c in range(len(radix))], dtype=self.dtype)
-        self.known: dict[tuple[int, int], tuple] = {}
-        self.fixed: dict[tuple[int, int], np.ndarray] = {}
-
-    def lookup(self, w: int, t: int, code: np.ndarray, keys_of, team: int):
-        """Table entry of every chain row, given the code of its key (the key
-        columns dotted with `strides`) and keys_of(rows), the keys (G, K) of
-        some rows; the cost tables (entries, X, U) of `team`; and each team's
-        transition tables (entries or 1, X, U, X), None at the last stage.
-        New keys are filled first."""
-        known, slots, tabs = self.known.get((w, t), (code[:0], np.zeros(0, dtype=np.int64), None))
-        at = np.minimum(np.searchsorted(known, code), max(len(known) - 1, 0))
-        miss = known[at] != code if len(known) else np.ones(len(code), dtype=bool)
-        if miss.any():
-            new, first = np.unique(code[miss], return_index=True)
-            rows = np.flatnonzero(miss)[first]
-            fresh = self._fill(w, t, keys_of(rows))
-            if tabs is not None:
-                fresh = [None if a is None else np.concatenate([a, b]) for a, b in zip(tabs, fresh)]
-            known = np.concatenate([known, new])
-            slots = np.concatenate([slots, len(slots) + np.arange(len(new))])
-            order = np.argsort(known)
-            known, slots, tabs = known[order], slots[order], fresh
-            self.known[w, t] = (known, slots, tabs)
-            at = np.searchsorted(known, code)
-        inv = slots[at]
-        if t + 1 == self.spec.horizon:
-            return inv, tabs[team], None
-        return inv, tabs[team], [self.fixed[j, t] if tabs[2 + j] is None else tabs[2 + j] for j in range(2)]
-
-    def _fill(self, w: int, t: int, keys: np.ndarray) -> list:
-        """Both teams' cost tables at the keys, then both teams' transition
-        tables (None for a statistic-free one) unless t is the last stage."""
-        frac = keys / np.array(self.scale, dtype=np.float64)
-        sx1, su1, sx2, su2 = ([stat.apply_raw(row) for row in frac[:, lo:hi]] for stat, lo, hi in self.blocks)
-        stats = list(zip(sx1, sx2, su1, su2))
-        out = []
-        for ti in self.spec.teams:
-            cells = list(itertools.product(range(ti.states.size), range(ti.actions.size)))
-            value = ti.stage_cost.value
-            table = [[value(w, x, u, *s) for x, u in cells] for s in stats]
-            out.append(np.array(table).reshape(len(keys), ti.states.size, ti.actions.size))
-        if t + 1 == self.spec.horizon:
-            return out + [None, None]
-        for j, ti in enumerate(self.spec.teams):
-            cells = list(itertools.product(range(ti.states.size), range(ti.actions.size)))
-            tr = ti.transition
-            seen = stats[:1] if tr.statistic_free else stats
-            table = np.array([[tr.rows_at(t, x, u, *s) for x, u in cells] for s in seen], dtype=np.float64)
-            table = table.reshape(len(seen), ti.states.size, ti.actions.size, ti.states.size)
-            if tr.statistic_free:
-                self.fixed[j, t] = table
-            out.append(None if tr.statistic_free else table)
-        return out
+    margins, radices = [], []
+    for ti, n, cells in zip(spec.teams, n_team, totals):
+        cells = cells.reshape(ti.states.size, ti.actions.size, -1)
+        margins.append((cells.sum(axis=1, dtype=cells.dtype), cells.sum(axis=0, dtype=cells.dtype)))
+        # radix 1 skips a team's last state and last action totals, which follow from the others
+        radices += [n + 1] * (ti.states.size - 1) + [1] + [n + 1] * (ti.actions.size - 1) + [1]
+    keep, key = _group([col for m in margins for law in m for col in law], radices)
+    laws = [tuple(law[:, keep].T / n for law in m) for n, m in zip(n_team, margins)]
+    cost, trans = _stage_tables(spec, w, t, laws)
+    if trans is not None:
+        trans = [p if p.ndim == 4 else p[None] for p in trans]
+    return key, cost, trans
 
 
 def _move_sure(probs: np.ndarray, which: np.ndarray, seats: np.ndarray, dest: np.ndarray):
@@ -786,7 +714,7 @@ def _move_sure(probs: np.ndarray, which: np.ndarray, seats: np.ndarray, dest: np
     return seats * ~hit
 
 
-def _chain_costs(spec: DynamicGameSpec, team: int, classes, tables: _StageTables) -> np.ndarray:
+def _chain_costs(spec: DynamicGameSpec, team: int, classes) -> np.ndarray:
     """Expected total cost of `team` for each candidate, by a forward
     Markov chain on count configurations.
 
@@ -812,23 +740,11 @@ def _chain_costs(spec: DynamicGameSpec, team: int, classes, tables: _StageTables
     state_radix = np.repeat([k + 1 for _, k, _ in classes], n_x)
     act_radix = np.repeat([k + 1 for _, k, _ in classes], n_xu)
     cells = [(ci, j, x, u) for ci, (j, _, _) in enumerate(classes) for x in range(dims[j][0]) for u in range(dims[j][1])]
-    # act rows summed into each key column (per team: state totals, then
-    # action totals), the key code of each act row, and the act rows of
-    # each of the scored team's (x, u) cells
-    key_terms = []
-    for i, (nx, nu) in enumerate(dims):
-        mine = [act_at[ci] for ci, (j, _, _) in enumerate(classes) if j == i]
-        key_terms += [[lo + x * nu + u for lo in mine for u in range(nu)] for x in range(nx)]
-        key_terms += [[lo + x * nu + u for lo in mine for x in range(nx)] for u in range(nu)]
-    act_code = [sum(int(tables.strides[c]) for c, rows in enumerate(key_terms) if a in rows) for a in range(len(cells))]
-    own = [act_at[ci] for ci, (j, _, _) in enumerate(classes) if j == team]
-    own_terms = [[lo + c for lo in own] for c in range(dims[team][0] * dims[team][1])]
 
-    def total(act, rows):
-        out = act[rows[0]].copy()
-        for r in rows[1:]:
-            out += act[r]
-        return out
+    def team_totals(act, i):
+        """Team i's seat count per (x, u) cell: its classes' act rows summed."""
+        blocks = [act[act_at[ci] : act_at[ci + 1]] for ci, (j, _, _) in enumerate(classes) if j == i]
+        return functools.reduce(np.add, blocks)
 
     out = np.zeros(n_cand)
     for w in range(spec.n_world):
@@ -853,13 +769,10 @@ def _chain_costs(spec: DynamicGameSpec, team: int, classes, tables: _StageTables
                 for (lo, _, _), counts in zip(splits, made):
                     act[lo : lo + len(counts)] += counts
             # costs and transitions: one table entry per distinct pair of team totals
-            code = np.zeros(len(p), dtype=tables.dtype)
-            for r, c in enumerate(act_code):
-                code += act[r].astype(tables.dtype) * c
-            keys_of = lambda rows: np.stack([total(act[:, rows], cols) for cols in key_terms], axis=1)  # noqa: E731
-            inv, cost, trans = tables.lookup(w, t, code, keys_of, team)
-            cost = cost.reshape(len(cost), -1)
-            stage = functools.reduce(np.add, (total(act, rows) * cost[inv, c] for c, rows in enumerate(own_terms)))
+            totals = [team_totals(act, i) for i in range(2)]
+            inv, cost, trans = _keyed_tables(spec, w, t, totals, n_team)
+            cost = cost[team].reshape(len(cost[team]), -1)
+            stage = functools.reduce(np.add, (n * cost[inv, c] for c, n in enumerate(totals[team])))
             acc += np.bincount(cand, weights=p * stage / n_team[team], minlength=n_cand)
             if trans is None:
                 break
@@ -1029,7 +942,7 @@ def exact_dynamic_cost(
     required = _chain_work(spec, classes)
     if required > path_budget:
         raise BudgetError("exact dynamic chain rows", required, path_budget)
-    return float(_chain_costs(spec, team, classes, _StageTables(spec, sizes))[0])
+    return float(_chain_costs(spec, team, classes)[0])
 
 
 def _det_stage_policies(spec: DynamicGameSpec, team: int) -> list[StagePolicy]:
@@ -1062,7 +975,7 @@ def _multisets_by_sizes(n_pol: int, n: int) -> dict[tuple[int, ...], np.ndarray]
     return {k: np.array(v, dtype=np.int64) for k, v in groups.items()}
 
 
-def _best_deviation_cost(spec, team, sizes, opp_classes, tables) -> float:
+def _best_deviation_cost(spec, team, sizes, opp_classes) -> float:
     """Least exact cost of `team` over the multisets of its deterministic stage policies."""
     det = _det_policy_laws(spec, team)
     most = _live_cells(det).max(axis=0)
@@ -1078,7 +991,7 @@ def _best_deviation_cost(spec, team, sizes, opp_classes, tables) -> float:
         for lo in range(0, len(pols), step):
             chunk = pols[lo : lo + step]
             classes = [(team, k, det[chunk[:, c]]) for c, k in enumerate(seats)] + opp_classes
-            best = min(best, float(_chain_costs(spec, team, classes, tables).min()))
+            best = min(best, float(_chain_costs(spec, team, classes).min()))
     return best
 
 
@@ -1121,12 +1034,12 @@ def dynamic_epsilon_estimate(
             raise BudgetError(*over[0])
 
     if mode == "exact":
-        eps, tables = [], _StageTables(spec, sizes)
+        eps = []
         for i in range(2):
             opp = [(1 - i, sizes[1 - i], law) for _, _, law in _team_classes(spec, 1 - i, [base[1 - i]])]
             own = [(i, sizes[i], law) for _, _, law in _team_classes(spec, i, [base[i]])]
-            cur = float(_chain_costs(spec, i, own + opp, tables)[0])
-            eps.append(cur - _best_deviation_cost(spec, i, sizes, opp, tables))
+            cur = float(_chain_costs(spec, i, own + opp)[0])
+            eps.append(cur - _best_deviation_cost(spec, i, sizes, opp))
         return EpsilonReport(eps=(eps[0], eps[1]), best_deviations=(None, None), method="exact", ci_halfwidth=0.0)
 
     if rng is None:

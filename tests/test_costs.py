@@ -163,3 +163,68 @@ def test_registries_expose_expected_families():
         "static-action",
     }
     assert set(TRANSITION_FAMILIES) == {"fixed", "state-copies-action", "mean-field-mixture"}
+
+
+TABLE_COST = {"grid1": [0.0, 0.4, 1.0], "grid2": [0.0, 1.0], "values": np.arange(24.0).reshape(2, 2, 3, 2).tolist()}
+
+
+@pytest.mark.parametrize("keys", [(5,), (3, 4)])
+@pytest.mark.parametrize("kind", ["identity", "mean-embedding"])
+def test_tables_match_scalar_reads_bit_for_bit(keys, kind):
+    from teamfield.core.spaces import StatisticMap
+
+    rng = np.random.default_rng(len(keys) + 7 * (kind == "identity"))
+    n_x, n_u = 3, 2
+
+    def laws(n):
+        w = rng.random(keys + (n,))
+        return w / w.sum(axis=-1, keepdims=True)
+
+    stat_x = StatisticMap("identity")
+    stat_u = StatisticMap(kind, np.sort(rng.random(n_u)) if kind == "mean-embedding" else None)
+    mu, nu = [laws(n_x), laws(n_x)], [laws(n_u), laws(n_u)]
+    batch = [stat_x.apply_raw(m) for m in mu] + [stat_u.apply_raw(n) for n in nu]
+
+    def lone(idx):
+        return [stat_x.apply_raw(m[idx]) for m in mu] + [stat_u.apply_raw(n[idx]) for n in nu]
+
+    docs = [
+        {"family": "constant", "params": {"value": 0.3}},
+        {"family": "state-indicator", "params": {"state": 1}},
+        {"family": "congestion"},
+        {"family": "static-action", "params": {"family": "track-opponent-mean"}},
+        {"family": "static-action", "params": {"family": "spread", "params": {"offset": 2.0}}},
+        {"family": "static-action", "params": {"table": TABLE_COST}},
+    ]
+    if kind == "identity":
+        docs.append({"family": "action-congestion"})
+    base = rng.random((n_x, n_u, n_x))
+    transitions = [
+        make_transition({"family": "fixed", "params": {"rows": rng.random((2, n_x, n_u, n_x)).tolist()}}, 1, n_x, n_u),
+        make_transition({"family": "mean-field-mixture", "params": {"base": base.tolist(), "weight": 0.3}}, 1, n_x, n_u),
+        make_transition({"family": "mean-field-mixture", "params": {"base": base.tolist(), "weight": 0.7}}, 0, n_x, n_u),
+    ]
+    if kind == "identity":
+        transitions.append(make_transition({"family": "state-copies-action"}, 0, n_u, n_u))
+    for team in range(2):
+        for doc in docs:
+            cost = make_stage_cost(doc, team)
+            table = cost.table(1, keys + (n_x, n_u), *batch)
+            assert table.shape == keys + (n_x, n_u)
+            for idx in np.ndindex(keys):
+                stats = lone(idx)
+                for x, u in np.ndindex(n_x, n_u):
+                    assert table[idx + (x, u)] == cost.value(1, x, u, *stats), (doc, team, idx, x, u)
+                    if doc["family"] == "static-action":
+                        # the static family's own scalar path
+                        inner = make_static_cost(doc["params"], team)
+                        assert table[idx + (x, u)] == inner.value(1, u, stats[2], stats[3])
+    for tr in transitions:
+        for t in range(3):
+            table = tr.table(t, *batch)
+            assert table.shape == ((tr.n_states, tr.n_actions, tr.n_states) if tr.statistic_free else keys + (n_x, n_u, n_x))
+            table = np.broadcast_to(table, keys + table.shape[-3:])
+            for idx in np.ndindex(keys):
+                stats = lone(idx)
+                for x, u in np.ndindex(tr.n_states, tr.n_actions):
+                    np.testing.assert_array_equal(table[idx + (x, u)], tr.rows_at(t, x, u, *stats))

@@ -174,6 +174,17 @@ def test_simulation_is_deterministic_and_covers_exact():
         simulate_finite_n(spec, (2, 2), (pol, pol), reps=10, rng=11)
 
 
+def test_simulation_follows_each_seats_stage_rules():
+    # blind seats with deterministic rules: every episode's action law is
+    # fixed by which seat plays which rule at which stage
+    spec = load_spec(CROWD)
+    first = StagePolicy.from_rows([[[1.0, 0.0]], [[0.0, 1.0]]])
+    second = StagePolicy.from_rows([[[0.0, 1.0]], [[0.0, 1.0]]])
+    rep = simulate_finite_n(spec, (2, 3), ([first, second], first), reps=100, rng=4)
+    actions = [[rep.flows[i][t][0].sum(axis=0).tolist() for t in range(2)] for i in range(2)]
+    assert actions == [[[0.5, 0.5], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]]
+
+
 def test_simulated_flows_match_propagated_flows_in_the_large_team_limit():
     spec = load_spec(CROWD)
     pol = StagePolicy.from_rows([[[0.5, 0.5]], [[0.5, 0.5]]])
@@ -473,7 +484,7 @@ def test_frozen_flow_best_response_keeps_the_first_minimum():
 def _count_evaluations(monkeypatch, spec):
     calls = []
     for t in spec.teams:
-        for obj, name in ((t.stage_cost, "value"), (t.transition, "rows_at")):
+        for obj, name in ((t.stage_cost, "value"), (t.transition, "rows_at"), (t.stage_cost, "table"), (t.transition, "table")):
             inner = getattr(obj, name)
             monkeypatch.setattr(obj, name, lambda *a, _f=inner, **k: calls.append(1) or _f(*a, **k))
     return calls
@@ -531,8 +542,9 @@ def test_auto_mode_uses_the_shared_work_helper(monkeypatch):
 
 @pytest.mark.parametrize("case", ["crowd", "chain", "mixture"])
 def test_chain_builds_no_more_rows_than_its_budget_counts(monkeypatch, case):
-    # the chain's action-step tables together, and the tables its moves
-    # merge together, stay within the row count the budget checks
+    # the rows whose team totals the chain groups to key its tables, and
+    # the rows its moves merge together, each stay within the row count
+    # the budget checks
     import teamfield.dynamic as dynamic
 
     if case == "mixture":
@@ -541,11 +553,12 @@ def test_chain_builds_no_more_rows_than_its_budget_counts(monkeypatch, case):
     else:
         spec, sizes = load_spec(CROWD if case == "crowd" else CHAIN), (4, 3)
     pols = (StagePolicy.uniform(spec, 0), StagePolicy.uniform(spec, 1))
-    looked, grouped = [], []
-    lookup, group = dynamic._StageTables.lookup, dynamic._group
-    monkeypatch.setattr(dynamic._StageTables, "lookup", lambda self, *a: looked.append(len(a[2])) or lookup(self, *a))
+    keyed, grouped = [], []
+    tables, group = dynamic._keyed_tables, dynamic._group
+    monkeypatch.setattr(dynamic, "_keyed_tables", lambda *a: keyed.append(a[3][0].shape[1]) or tables(*a))
     monkeypatch.setattr(dynamic, "_group", lambda cols, radices: grouped.append(len(cols[0])) or group(cols, radices))
     dynamic_epsilon_estimate(spec, sizes, pols, mode="exact")
     required = sum(r for what, r, _ in dynamic._exact_work(spec, sizes, pols, DYN_EXACT_CANDIDATE_BUDGET) if "rows" in what)
-    assert sum(looked) <= required
-    assert sum(grouped) <= required
+    assert sum(keyed) <= required
+    # every keying groups its rows once; the rest are the moves' merges
+    assert sum(grouped) - sum(keyed) <= required

@@ -158,3 +158,38 @@ def test_unknown_kind_rejected_at_dispatch():
 
     with pytest.raises(ModelError):
         spec_from_dict({**STATIC_DOC, "kind": "mystery"})
+
+
+def _dynamic_doc():
+    # DYNAMIC_DOC's two teams are one dict; give each team its own copy
+    doc = copy.deepcopy(DYNAMIC_DOC)
+    doc["teams"] = [copy.deepcopy(t) for t in doc["teams"]]
+    return doc
+
+
+def _probe_entries(doc):
+    return [e for e in validate_dynamic_spec(DynamicGameSpec.from_dict(doc)).entries if "probe" in e or "row at" in e]
+
+
+def test_dynamic_validation_probes_stage_costs():
+    # offset 0 makes evasion a negative cost wherever the action misses the
+    # opponent's mean: first at state 0, action 1 against the vertex probe
+    doc = _dynamic_doc()
+    doc["teams"][0]["cost"] = {
+        "family": "static-action",
+        "params": {"family": "evade-opponent-mean", "params": {"offset": 0.0}},
+    }
+    assert _probe_entries(doc) == ["team 0 stage cost invalid (-1) at a probe point"]
+
+
+def test_dynamic_validation_reports_the_first_probe_violation():
+    doc = _dynamic_doc()
+    base = [[[1.0, 0.0], [1.0, 0.0]], [[0.5, 0.4], [1.0, 0.0]]]
+    doc["teams"][1]["transition"] = {"family": "mean-field-mixture", "params": {"base": base, "weight": 0.5}}
+    assert _probe_entries(doc) == ["team 1 transition row at (t=0, x=1, u=0) is not a distribution"]
+    # a bad cost at an earlier (state, action) cell comes first
+    doc["teams"][1]["cost"] = {
+        "family": "static-action",
+        "params": {"family": "evade-opponent-mean", "params": {"offset": 0.0}},
+    }
+    assert _probe_entries(doc) == ["team 1 stage cost invalid (-1) at a probe point"]
