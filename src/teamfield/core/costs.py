@@ -266,6 +266,9 @@ class _StageCost:
     def needs_identity_state_stat(self) -> bool:
         return False
 
+    def needs_identity_action_stat(self) -> bool:
+        return False
+
     def to_dict(self) -> dict:
         return {"family": self.name, "params": dict(self.params)}
 
@@ -311,6 +314,9 @@ class ActionCongestionCost(_StageCost):
     """Own-team action density at the chosen action."""
 
     name = "action-congestion"
+
+    def needs_identity_action_stat(self) -> bool:
+        return True
 
     def table(self, omega0, shape, sx1, sx2, su1, su2):
         own = _vector_view(su1 if self.team == 0 else su2, len(shape) - 2)

@@ -348,6 +348,8 @@ def validate_dynamic_spec(spec: DynamicGameSpec) -> ValidationReport:
         u_probes.append(_statistic_probes(t.stat_u, t.actions.size, entries, f"team {i} action statistic"))
         if t.stage_cost.needs_identity_state_stat() and t.stat_x.kind != "identity":
             entries.append(f"team {i} stage cost needs the identity state statistic")
+        if t.stage_cost.needs_identity_action_stat() and t.stat_u.kind != "identity":
+            entries.append(f"team {i} stage cost needs the identity action statistic")
         if getattr(t.transition, "name", "") == "mean-field-mixture" and t.stat_x.kind != "identity":
             entries.append(f"team {i} mean-field-mixture transition needs the identity state statistic")
 

@@ -14,6 +14,12 @@ here. The simulator feeds every seat the realized empirical measures
 (deviators included), which is exactly what the finite-team epsilon
 estimates need.
 
+One backward induction, _policy_values, scores stage policies at frozen
+flows: the representative-seat cost, the exhaustive best response, the
+coordinate-descent fallback and the soft update all call it, batched
+over candidate rules per stage and over world points. The soft update
+reads the seat's state law from the flows themselves.
+
 Every path reads stage costs and transitions as tables over (state,
 action), filled by one helper, _stage_tables, for a batch of both
 teams' state and action laws: the flows at a stage and world point,
@@ -53,7 +59,7 @@ from .finite_n import (
     _seed_of,
     sample_mean_ci,
 )
-from .mf_static import SolverConfig, damped_fixed_point, kernel_grid
+from .mf_static import SolverConfig, damped_fixed_point, kernel_grid, softmin_rows
 
 DYN_BR_BUDGET = 1_000_000
 DYN_EXACT_CANDIDATE_BUDGET = 1_000_000
@@ -230,6 +236,38 @@ def _flow_tables(spec: DynamicGameSpec, team: int, flows: FlowProfile):
     return cost, trans
 
 
+def _stage_map_rows(spec: DynamicGameSpec, team: int) -> np.ndarray:
+    """Rule rows of every observation-to-action map, lexicographic: (U^Y, Y, U)."""
+    ti = spec.teams[team]
+    maps = list(itertools.product(range(ti.actions.size), repeat=ti.observations.size))
+    return np.eye(ti.actions.size)[maps]
+
+
+def _stage_map_laws(spec: DynamicGameSpec, team: int, t: int) -> np.ndarray:
+    """P(u | x) at stage t of every observation-to-action map, lexicographic: (U^Y, X, U)."""
+    return spec.teams[team].obs_kernels[t] @ _stage_map_rows(spec, team)
+
+
+def _policy_values(spec, team, laws, cost, trans, q=None) -> np.ndarray:
+    """Value at frozen-flow tables of every stage policy built from the
+    candidate rules laws[t], shaped (K_t, X, U) as P(u | x), in
+    itertools.product order of the stages.
+
+    Backward induction over tails: the values of all tails from stage t
+    on are one batch (tails, W, X), and each stage-t rule extends every
+    tail in one numpy pass. When q is a list, q[t] receives the stage-t
+    action values (tails, W, X, U) of the tails from t+1 on.
+    """
+    t_i = spec.teams[team]
+    V = np.zeros((1, spec.n_world, t_i.states.size))
+    for t in range(spec.horizon - 1, -1, -1):
+        q_t = cost[t][None] if trans[t] is None else cost[t][None] + np.einsum("wxuz,kwz->kwxu", trans[t], V)
+        if q is not None:
+            q[t] = q_t
+        V = np.einsum("mxu,kwxu->mkwx", laws[t], q_t).reshape(-1, spec.n_world, t_i.states.size)
+    return np.einsum("pwx,wx->pw", V, t_i.init_kernel) @ spec.prior
+
+
 def mf_dynamic_cost(
     spec: DynamicGameSpec, team: int, pol: StagePolicy, flows: FlowProfile
 ) -> float:
@@ -239,61 +277,8 @@ def mf_dynamic_cost(
     statistic inside costs and transitions comes from the frozen flows.
     """
     _check_stage_policy(spec, team, pol)
-    cost, trans = _flow_tables(spec, team, flows)
-    per_world = []
-    for w in range(spec.n_world):
-        rho = spec.teams[team].init_kernel[w].copy()
-        total = 0.0
-        for t in range(spec.horizon):
-            pu = _action_given_state(spec, team, pol, t)
-            joint = rho[:, None] * pu
-            total += float((joint * cost[t][w]).sum())
-            if t + 1 < spec.horizon:
-                rho = np.einsum("xu,xuz->z", joint, trans[t][w])
-        per_world.append(float(spec.prior[w]) * total)
-    return math.fsum(per_world)
-
-
-def _det_rows(choice: tuple[int, ...], n_actions: int) -> np.ndarray:
-    rows = np.zeros((len(choice), n_actions))
-    rows[np.arange(len(choice)), list(choice)] = 1.0
-    return rows
-
-
-def _det_stage_value(spec, team, picks, maps, cost, trans) -> float:
-    """Evaluate one deterministic stage profile by backward induction."""
-    t_i = spec.teams[team]
-    n_x = t_i.states.size
-    total = 0.0
-    for w in range(spec.n_world):
-        V = np.zeros(n_x)
-        for t in range(spec.horizon - 1, -1, -1):
-            rows = _det_rows(maps[picks[t]], t_i.actions.size)
-            pu = spec.teams[team].obs_kernels[t] @ rows
-            stage = (pu * cost[t][w]).sum(axis=1)
-            if trans[t] is not None:
-                cont = np.einsum("xu,xuz,z->x", pu, trans[t][w], V)
-            else:
-                cont = 0.0
-            V = stage + cont
-        total += float(spec.prior[w]) * float(spec.teams[team].init_kernel[w] @ V)
-    return total
-
-
-def _det_policy_values(spec, team, maps, cost, trans) -> np.ndarray:
-    """Value of every deterministic stage policy, in itertools.product order of the stage maps.
-
-    Backward induction over tails: the values of all tails from stage t
-    on are one batch (tails, W, X), and each stage-t map extends every
-    tail in one numpy pass.
-    """
-    t_i = spec.teams[team]
-    V = np.zeros((1, spec.n_world, t_i.states.size))
-    for t in range(spec.horizon - 1, -1, -1):
-        pu = t_i.obs_kernels[t] @ np.eye(t_i.actions.size)[maps]  # (maps, X, U)
-        q = cost[t][None] if trans[t] is None else cost[t][None] + np.einsum("wxuz,kwz->kwxu", trans[t], V)
-        V = np.einsum("mxu,kwxu->mkwx", pu, q).reshape(-1, spec.n_world, t_i.states.size)
-    return np.einsum("pwx,wx->pw", V, t_i.init_kernel) @ spec.prior
+    laws = [_action_given_state(spec, team, pol, t)[None] for t in range(spec.horizon)]
+    return float(_policy_values(spec, team, laws, *_flow_tables(spec, team, flows))[0])
 
 
 @dataclass
@@ -314,92 +299,52 @@ def dynamic_best_response_fixed_flow(
     Exhaustive over all per-stage observation-to-action maps when the
     candidate count fits the budget (ties resolve to the lexicographically
     first profile). Otherwise stage-wise coordinate descent from the
-    uniform-tie start; its output is only a local optimum and is flagged
-    by exhaustive=False.
+    uniform-tie start, scoring every map of one stage per pass and taking
+    the first improvement in map order; its output is only a local optimum
+    and is flagged by exhaustive=False.
     """
-    t_i = spec.teams[team]
-    maps = list(itertools.product(range(t_i.actions.size), repeat=t_i.observations.size))
+    rows = _stage_map_rows(spec, team)
+    stages = [_stage_map_laws(spec, team, t) for t in range(spec.horizon)]
     cost, trans = _flow_tables(spec, team, flows)
-    n_cand = len(maps) ** spec.horizon
-    if n_cand <= budget:
-        values = _det_policy_values(spec, team, maps, cost, trans)
+    if len(rows) ** spec.horizon <= budget:
+        values = _policy_values(spec, team, stages, cost, trans)
         best = int(np.argmin(values))
-        picks = np.unravel_index(best, (len(maps),) * spec.horizon)
-        rows = [_det_rows(maps[m], t_i.actions.size) for m in picks]
-        return DynBrResult(StagePolicy.from_rows(rows), float(values[best]), True)
+        picks = np.unravel_index(best, (len(rows),) * spec.horizon)
+        return DynBrResult(StagePolicy.from_rows(rows[list(picks)]), float(values[best]), True)
 
     picks = [0] * spec.horizon
-    value = _det_stage_value(spec, team, picks, maps, cost, trans)
+    value = float(_policy_values(spec, team, [law[:1] for law in stages], cost, trans)[0])
     improved = True
     while improved:
         improved = False
         for t in range(spec.horizon):
-            for m in range(len(maps)):
-                if m == picks[t]:
-                    continue
-                trial = list(picks)
-                trial[t] = m
-                v = _det_stage_value(spec, team, trial, maps, cost, trans)
-                if v < value - 1e-15:
-                    picks, value = trial, v
+            laws = [law[[m]] for law, m in zip(stages, picks)]
+            laws[t] = stages[t]
+            for m, v in enumerate(_policy_values(spec, team, laws, cost, trans)):
+                if m != picks[t] and v < value - 1e-15:
+                    picks[t], value = m, float(v)
                     improved = True
-    rows = [_det_rows(maps[m], t_i.actions.size) for m in picks]
-    return DynBrResult(StagePolicy.from_rows(rows), float(value), False)
+    return DynBrResult(StagePolicy.from_rows(rows[picks]), value, False)
 
 
 def _soft_stage_rows(spec, team, rows, flows, tau):
     """One-stage-deviation softmax update for every (stage, observation).
 
-    Scores are posterior-weighted: the seat's state law comes from a
-    forward pass under the current rule, continuation values from a
-    backward pass, both with flow-frozen tables.
+    Scores are posterior-weighted: continuation values come from one
+    backward pass under the current rule with flow-frozen tables, and the
+    seat's state law is the team's own state flow. That flow is the law
+    under the current rule because damped_fixed_point always answers the
+    flows induced by the very rows it passes in.
     """
-    cost, trans = _flow_tables(spec, team, flows)
     t_i = spec.teams[team]
-    n_x, n_u = t_i.states.size, t_i.actions.size
-    T = spec.horizon
-
-    rho = np.empty((T, spec.n_world, n_x))
-    for w in range(spec.n_world):
-        rho[0, w] = t_i.init_kernel[w]
-    for t in range(T - 1):
-        pu = t_i.obs_kernels[t] @ rows[t]
-        for w in range(spec.n_world):
-            joint = rho[t, w][:, None] * pu
-            rho[t + 1, w] = np.einsum("xu,xuz->z", joint, trans[t][w])
-
-    V = np.zeros((T + 1, spec.n_world, n_x))
-    q = np.empty((T, spec.n_world, n_x, n_u))
-    for t in range(T - 1, -1, -1):
-        pu = t_i.obs_kernels[t] @ rows[t]
-        for w in range(spec.n_world):
-            q[t, w] = cost[t][w] + (
-                np.einsum("xuz,z->xu", trans[t][w], V[t + 1, w]) if trans[t] is not None else 0.0
-            )
-            V[t, w] = (pu * q[t, w]).sum(axis=1)
-
+    q = [None] * spec.horizon
+    laws = [(t_i.obs_kernels[t] @ rows[t])[None] for t in range(spec.horizon)]
+    _policy_values(spec, team, laws, *_flow_tables(spec, team, flows), q)
     out = []
-    for t in range(T):
-        obs = t_i.obs_kernels[t]
-        score = np.zeros((t_i.observations.size, n_u))
-        norm = np.zeros(t_i.observations.size)
-        for w in range(spec.n_world):
-            weight = float(spec.prior[w]) * rho[t, w]
-            score += obs.T @ (weight[:, None] * q[t, w])
-            norm += obs.T @ weight
-        resp = np.empty_like(score)
-        for y in range(score.shape[0]):
-            if tau <= 0.0:
-                resp[y] = 0.0
-                resp[y, int(np.argmin(score[y]))] = 1.0
-            elif norm[y] <= 0.0:
-                resp[y] = 1.0 / n_u
-            else:
-                z = -(score[y] / norm[y]) / tau
-                z -= z.max()
-                e = np.exp(z)
-                resp[y] = e / e.sum()
-        out.append(resp)
+    for t, obs in enumerate(t_i.obs_kernels[: spec.horizon]):
+        weight = spec.prior[:, None] * flows.joints[team][t].sum(axis=-1)  # (W, X)
+        score = obs.T @ (weight[..., None] * q[t][0]).sum(axis=0)
+        out.append(softmin_rows(score, obs.T @ weight.sum(axis=0), tau))
     return out
 
 
@@ -551,16 +496,8 @@ def simulate_finite_n(
             vals[i].append(c)
             flow_acc[i][w0] += emp[i]
     stats = [sample_mean_ci(v) for v in vals]
-    flows = []
-    for i in range(2):
-        per_stage = []
-        for t in range(spec.horizon):
-            avg = np.zeros((spec.n_world,) + flow_acc[i].shape[2:])
-            for w in range(spec.n_world):
-                if counts[w] > 0:
-                    avg[w] = flow_acc[i][w, t] / counts[w]
-            per_stage.append(avg)
-        flows.append(tuple(per_stage))
+    # world points never drawn have zero sums, so they keep zero flow
+    flows = [tuple(np.moveaxis(acc / np.maximum(counts, 1.0)[:, None, None, None], 1, 0)) for acc in flow_acc]
     return SimulationReport(
         costs=(stats[0][0], stats[1][0]),
         ci_halfwidth=(stats[0][1], stats[1][1]),
@@ -879,13 +816,6 @@ def _chain_work(spec: DynamicGameSpec, classes) -> int:
     return spec.n_world * sum(per_stage)
 
 
-def _stage_map_laws(spec: DynamicGameSpec, team: int, t: int) -> np.ndarray:
-    """P(u | x) at stage t of every observation-to-action map, lexicographic: (U^Y, X, U)."""
-    ti = spec.teams[team]
-    maps = list(itertools.product(range(ti.actions.size), repeat=ti.observations.size))
-    return ti.obs_kernels[t] @ np.eye(ti.actions.size)[maps]
-
-
 def _exact_work(spec: DynamicGameSpec, sizes, base, candidate_budget: int) -> list[tuple[str, int, int]]:
     """What exact dynamic epsilon needs, as (what, required, budget) rows.
 
@@ -947,12 +877,8 @@ def exact_dynamic_cost(
 
 def _det_stage_policies(spec: DynamicGameSpec, team: int) -> list[StagePolicy]:
     """Every deterministic stage policy for one seat, lexicographic."""
-    t_i = spec.teams[team]
-    maps = list(itertools.product(range(t_i.actions.size), repeat=t_i.observations.size))
-    out = []
-    for picks in itertools.product(maps, repeat=spec.horizon):
-        out.append(StagePolicy.from_rows([_det_rows(m, t_i.actions.size) for m in picks]))
-    return out
+    rows = _stage_map_rows(spec, team)
+    return [StagePolicy.from_rows(rows[list(picks)]) for picks in itertools.product(range(len(rows)), repeat=spec.horizon)]
 
 
 def _det_policy_laws(spec: DynamicGameSpec, team: int) -> np.ndarray:

@@ -152,19 +152,7 @@ def best_response_fixed_mf(
 
 def _soft_response_rows(spec: StaticGameSpec, team: int, mf: MeanFieldProfile, tau: float) -> np.ndarray:
     W = _score_matrix(spec, team, *_statistics(spec, mf.laws))
-    if tau <= 0.0:
-        return np.eye(W.shape[1])[np.argmin(W, axis=1)]
-    p_obs = spec.prior @ spec.teams[team].obs_kernel
-    rows = np.empty_like(W)
-    for y in range(W.shape[0]):
-        if p_obs[y] <= 0.0:
-            rows[y] = 1.0 / W.shape[1]
-            continue
-        z = -(W[y] / p_obs[y]) / tau
-        z -= z.max()
-        e = np.exp(z)
-        rows[y] = e / e.sum()
-    return rows
+    return softmin_rows(W, spec.prior @ spec.teams[team].obs_kernel, tau)
 
 
 @dataclass
@@ -226,6 +214,23 @@ def damped_fixed_point(rows, induce, respond, cfg: SolverConfig):
                 break
             tau = max(tau * cfg.smooth_anneal, cfg.smooth_floor)
     return rows, frozen, iterations, settled
+
+
+def softmin_rows(score: np.ndarray, mass: np.ndarray, tau: float) -> np.ndarray:
+    """Smoothed response rows to observation scores (Y, U) with observation
+    masses (Y,): the argmin row at tau <= 0, the uniform row where the mass
+    is 0, and otherwise the softmax of -score / mass at temperature tau.
+    """
+    n_u = score.shape[1]
+    if tau <= 0.0:
+        return np.eye(n_u)[np.argmin(score, axis=1)]
+    rows = np.full(score.shape, 1.0 / n_u)
+    live = mass > 0.0
+    z = -(score[live] / mass[live, None]) / tau
+    z -= z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    rows[live] = e / e.sum(axis=1, keepdims=True)
+    return rows
 
 
 def solve_mf_fixed_point(spec: StaticGameSpec, cfg: Optional[SolverConfig] = None) -> MFEquilibrium:

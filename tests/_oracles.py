@@ -550,3 +550,87 @@ def loop_best_response(spec, team, cost, trans):
         if best is None or total < best[0]:
             best = (total, picks)
     return best
+
+
+def _loop_stage_value(spec, team, rules, cost, trans):
+    """Frozen-flow value of one stage policy given as P(u | x) per stage,
+    by a backward pass of plain loops over world points, states and actions."""
+    t_i = spec.teams[team]
+    n_x, n_u = t_i.states.size, t_i.actions.size
+    total = 0.0
+    for w in range(spec.n_world):
+        V = [0.0] * n_x
+        for t in range(spec.horizon - 1, -1, -1):
+            nxt = []
+            for x in range(n_x):
+                v = 0.0
+                for u in range(n_u):
+                    q = float(cost[t][w][x, u])
+                    if trans[t] is not None:
+                        q += sum(float(trans[t][w][x, u, z]) * V[z] for z in range(n_x))
+                    v += float(rules[t][x, u]) * q
+                nxt.append(v)
+            V = nxt
+        total += float(spec.prior[w]) * sum(float(t_i.init_kernel[w, x]) * V[x] for x in range(n_x))
+    return total
+
+
+def forward_flow_cost(spec, team, rules, cost, trans):
+    """Frozen-flow value of one stage policy given as P(u | x) per stage, by
+    a forward pass of the seat's own state law in plain loops.
+
+    cost[t][w] is (X, U), trans[t][w] is (X, U, X) or trans[t] is None at
+    the last stage.
+    """
+    t_i = spec.teams[team]
+    n_x, n_u = t_i.states.size, t_i.actions.size
+    per_world = []
+    for w in range(spec.n_world):
+        rho = [float(v) for v in t_i.init_kernel[w]]
+        total = 0.0
+        for t in range(spec.horizon):
+            nxt = [0.0] * n_x
+            for x in range(n_x):
+                for u in range(n_u):
+                    m = rho[x] * float(rules[t][x, u])
+                    total += m * float(cost[t][w][x, u])
+                    if trans[t] is not None:
+                        for z in range(n_x):
+                            nxt[z] += m * float(trans[t][w][x, u, z])
+            rho = nxt
+        per_world.append(float(spec.prior[w]) * total)
+    return math.fsum(per_world)
+
+
+def loop_coordinate_descent(spec, team, cost, trans):
+    """Stage-wise coordinate descent over deterministic stage maps, one
+    trial policy at a time.
+
+    Starts from map 0 at every stage; sweeps the stages in order and, per
+    stage, the maps in itertools.product order, taking every trial that
+    lowers the value by more than 1e-15, until a full sweep changes
+    nothing. Returns (value, picks).
+    """
+    t_i = spec.teams[team]
+    maps = list(itertools.product(range(t_i.actions.size), repeat=t_i.observations.size))
+
+    def value(picks):
+        rules = [t_i.obs_kernels[t] @ np.eye(t_i.actions.size)[list(maps[m])] for t, m in enumerate(picks)]
+        return _loop_stage_value(spec, team, rules, cost, trans)
+
+    picks = [0] * spec.horizon
+    best = value(picks)
+    improved = True
+    while improved:
+        improved = False
+        for t in range(spec.horizon):
+            for m in range(len(maps)):
+                if m == picks[t]:
+                    continue
+                trial = list(picks)
+                trial[t] = m
+                v = value(trial)
+                if v < best - 1e-15:
+                    picks, best = trial, v
+                    improved = True
+    return best, tuple(picks)

@@ -22,7 +22,14 @@ from teamfield.dynamic import (
 from teamfield.io import load_spec
 from teamfield.mf_static import SolverConfig
 from tests._gen import random_dynamic_spec, random_stage_policy
-from tests._oracles import loop_best_response, oracle_chain_cost, seat_dynamic_epsilon, seat_exact_dynamic_cost
+from tests._oracles import (
+    forward_flow_cost,
+    loop_best_response,
+    loop_coordinate_descent,
+    oracle_chain_cost,
+    seat_dynamic_epsilon,
+    seat_exact_dynamic_cost,
+)
 from tests._paths import GAMES
 
 CHAIN = GAMES / "state_copies_action.json"
@@ -476,6 +483,53 @@ def test_frozen_flow_best_response_keeps_the_first_minimum():
     assert br.value == pytest.approx(value, abs=1e-12)
     np.testing.assert_array_equal(br.policy.kernels[1].rows, [[1.0, 0.0]])
     assert picks[1] == 0
+
+
+def _random_frozen_flows(seed):
+    """A random coupled spec (1-3 world points, both transition families,
+    horizon 2-4) with the flows of a random policy pair."""
+    rng = np.random.default_rng(seed)
+    spec = random_dynamic_spec(
+        rng,
+        2 + seed % 2,
+        2 + seed // 3 % 2,
+        1 + seed // 2 % 2,
+        1 + seed % 3,
+        ("fixed", "mean-field-mixture")[seed // 6 % 2],
+        horizon=2 + seed // 4 % 3,
+    )
+    pols = (random_stage_policy(rng, spec, 0), random_stage_policy(rng, spec, 1))
+    return rng, spec, propagate_mf_flow(spec, pols)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_mf_dynamic_cost_matches_forward_pass(seed):
+    from teamfield.dynamic import _flow_tables
+
+    rng, spec, flows = _random_frozen_flows(seed)
+    for team in range(2):
+        # a rule other than the one the flows came from
+        pol = random_stage_policy(rng, spec, team)
+        rules = [spec.teams[team].obs_kernels[t] @ k.rows for t, k in enumerate(pol.kernels)]
+        want = forward_flow_cost(spec, team, rules, *_flow_tables(spec, team, flows))
+        assert mf_dynamic_cost(spec, team, pol, flows) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_coordinate_descent_matches_loop(seed):
+    from teamfield.dynamic import _flow_tables
+
+    _, spec, flows = _random_frozen_flows(seed)
+    for team in range(2):
+        br = dynamic_best_response_fixed_flow(spec, team, flows, budget=3)
+        value, picks = loop_coordinate_descent(spec, team, *_flow_tables(spec, team, flows))
+        assert not br.exhaustive
+        assert br.value == pytest.approx(value, abs=1e-12)
+        t = spec.teams[team]
+        maps = list(itertools.product(range(t.actions.size), repeat=t.observations.size))
+        for k, m in zip(br.policy.kernels, picks):
+            np.testing.assert_array_equal(k.rows, np.eye(t.actions.size)[list(maps[m])])
+        assert br.value >= dynamic_best_response_fixed_flow(spec, team, flows).value - 1e-12
 
 
 # -- budgets ------------------------------------------------------------------

@@ -141,6 +141,16 @@ def test_congestion_cost_requires_identity_state_statistic():
     assert any("identity state statistic" in e for e in report.entries)
 
 
+def test_action_congestion_cost_requires_identity_action_statistic():
+    doc = _dynamic_doc()
+    for team in doc["teams"]:
+        team["cost"] = {"family": "action-congestion"}
+        team["stat_u"] = {"kind": "mean-embedding", "embedding": [0.0, 1.0]}
+    report = validate_dynamic_spec(DynamicGameSpec.from_dict(doc))
+    assert "team 0 stage cost needs the identity action statistic" in report.entries
+    assert "team 1 stage cost needs the identity action statistic" in report.entries
+
+
 def test_mean_field_mixture_requires_identity_state_statistic():
     doc = copy.deepcopy(DYNAMIC_DOC)
     base = [[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]]
