@@ -12,7 +12,9 @@ The forward flow recursion, the representative-seat cost, the smoothed
 fixed-point iteration, and the coupled finite-team simulator all live
 here. The simulator feeds every seat the realized empirical measures
 (deviators included), which is exactly what the finite-team epsilon
-estimates need.
+estimates need. It runs chunks of episodes as arrays, episodes on the
+leading axis, each episode on its own (seed, episode) stream, so the
+chunk size never changes a result.
 
 One backward induction, _policy_values, scores stage policies at frozen
 flows: the representative-seat cost, the exhaustive best response, the
@@ -40,7 +42,6 @@ import collections
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -53,18 +54,19 @@ from .finite_n import (
     MC_DEVIATION_BUDGET,
     MIN_MC_REPS,
     EpsilonReport,
-    _draw,
     _mc_epsilon,
     _philox,
     _seed_of,
     sample_mean_ci,
 )
 from .mf_static import SolverConfig, damped_fixed_point, kernel_grid, softmin_rows
+from .policies import _inverse_cdf
 
 DYN_BR_BUDGET = 1_000_000
 DYN_EXACT_CANDIDATE_BUDGET = 1_000_000
 DYN_EXACT_PATH_BUDGET = 2_500_000
 CHAIN_CHUNK_ROWS = 1 << 16
+SIM_CHUNK_UNIFORMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -186,6 +188,32 @@ def _marginals(joint: np.ndarray):
     return joint.sum(axis=-1), joint.sum(axis=-2)
 
 
+def _propagate(spec: DynamicGameSpec, pols: tuple[StagePolicy, StagePolicy]):
+    """Mean-field flows of both teams, with the stage tables they induce:
+    tables[t][w] is _stage_tables at stage t and world point w, the last
+    stage's costs included. See propagate_mf_flow."""
+    for i in range(2):
+        _check_stage_policy(spec, i, pols[i])
+    mu = [spec.teams[i].init_kernel.copy() for i in range(2)]  # (w, X)
+    out: list[list[np.ndarray]] = [[], []]
+    tables = []
+    for t in range(spec.horizon):
+        joints_t = [mu[i][:, :, None] * _action_given_state(spec, i, pols[i], t)[None, :, :] for i in range(2)]
+        for i in range(2):
+            out[i].append(joints_t[i])
+        tables.append([_stage_tables(spec, w, t, [_marginals(j[w]) for j in joints_t]) for w in range(spec.n_world)])
+        if t + 1 == spec.horizon:
+            break
+        nxt = [np.zeros_like(mu[0]), np.zeros_like(mu[1])]
+        for w, (_, trans) in enumerate(tables[t]):
+            for i in range(2):
+                # a running sum over the (state, action) cells in order fixes the rounding
+                flow = joints_t[i][w][:, :, None] * trans[i]
+                nxt[i][w] = functools.reduce(np.add, flow.reshape(-1, flow.shape[-1]))
+        mu = nxt
+    return FlowProfile(joints=(tuple(out[0]), tuple(out[1]))), tables
+
+
 def propagate_mf_flow(
     spec: DynamicGameSpec, pols: tuple[StagePolicy, StagePolicy]
 ) -> FlowProfile:
@@ -196,44 +224,28 @@ def propagate_mf_flow(
     seat's transition into stage t+1. Both teams advance simultaneously
     since each team's transition may read the other's flow.
     """
-    for i in range(2):
-        _check_stage_policy(spec, i, pols[i])
-    n_w = spec.n_world
-    mu = [spec.teams[i].init_kernel.copy() for i in range(2)]  # (w, X)
-    out: list[list[np.ndarray]] = [[], []]
-    for t in range(spec.horizon):
-        joints_t = []
-        for i in range(2):
-            pu = _action_given_state(spec, i, pols[i], t)
-            joints_t.append(mu[i][:, :, None] * pu[None, :, :])
-        for i in range(2):
-            out[i].append(joints_t[i])
-        if t + 1 == spec.horizon:
-            break
-        nxt = [np.zeros_like(mu[0]), np.zeros_like(mu[1])]
-        for w in range(n_w):
-            _, trans = _stage_tables(spec, w, t, [_marginals(j[w]) for j in joints_t])
-            for i in range(2):
-                # a running sum over the (state, action) cells in order fixes the rounding
-                flow = joints_t[i][w][:, :, None] * trans[i]
-                nxt[i][w] = functools.reduce(np.add, flow.reshape(-1, flow.shape[-1]))
-        mu = nxt
-    return FlowProfile(joints=(tuple(out[0]), tuple(out[1])))
+    return _propagate(spec, pols)[0]
 
 
-def _flow_tables(spec: DynamicGameSpec, team: int, flows: FlowProfile):
-    """Stage cost and transition tables at frozen flows.
+def _team_tables(team: int, tables):
+    """One team's stage cost and transition tables, stacked over world
+    points from the per-(stage, world point) tables of _propagate.
 
     cost[t][w] has shape (X, U); trans[t][w] has shape (X, U, X). The last
     stage carries no transition table.
     """
-    cost = []
-    trans = []
-    for t in range(spec.horizon):
-        tables = [_stage_tables(spec, w, t, [_marginals(j[t][w]) for j in flows.joints]) for w in range(spec.n_world)]
-        cost.append(np.stack([c[team] for c, _ in tables]))
-        trans.append(None if t + 1 == spec.horizon else np.stack([p[team] for _, p in tables]))
+    cost = [np.stack([c[team] for c, _ in stage]) for stage in tables]
+    trans = [None if stage[0][1] is None else np.stack([p[team] for _, p in stage]) for stage in tables]
     return cost, trans
+
+
+def _flow_tables(spec: DynamicGameSpec, team: int, flows: FlowProfile):
+    """Stage cost and transition tables at frozen flows (see _team_tables)."""
+    tables = [
+        [_stage_tables(spec, w, t, [_marginals(j[t][w]) for j in flows.joints]) for w in range(spec.n_world)]
+        for t in range(spec.horizon)
+    ]
+    return _team_tables(team, tables)
 
 
 def _stage_map_rows(spec: DynamicGameSpec, team: int) -> np.ndarray:
@@ -327,19 +339,20 @@ def dynamic_best_response_fixed_flow(
     return DynBrResult(StagePolicy.from_rows(rows[picks]), value, False)
 
 
-def _soft_stage_rows(spec, team, rows, flows, tau):
+def _soft_stage_rows(spec, team, rows, flows, tables, tau):
     """One-stage-deviation softmax update for every (stage, observation).
 
     Scores are posterior-weighted: continuation values come from one
     backward pass under the current rule with flow-frozen tables, and the
     seat's state law is the team's own state flow. That flow is the law
     under the current rule because damped_fixed_point always answers the
-    flows induced by the very rows it passes in.
+    flows induced by the very rows it passes in. tables are the stage
+    tables _propagate filled at those flows, so nothing is refilled.
     """
     t_i = spec.teams[team]
     q = [None] * spec.horizon
     laws = [(t_i.obs_kernels[t] @ rows[t])[None] for t in range(spec.horizon)]
-    _policy_values(spec, team, laws, *_flow_tables(spec, team, flows), q)
+    _policy_values(spec, team, laws, *_team_tables(team, tables), q)
     out = []
     for t, obs in enumerate(t_i.obs_kernels[: spec.horizon]):
         weight = spec.prior[:, None] * flows.joints[team][t].sum(axis=-1)  # (W, X)
@@ -355,8 +368,10 @@ def solve_dynamic_mf_fixed_point(
 
     Same scheme as the static solver: respond (softly) to the flows of
     the current pair, damp, anneal the temperature after each inner
-    convergence. The reported best-response residual is always measured
-    against the exhaustive deterministic search when it fits the budget.
+    convergence. Each sweep fills the stage tables once, while it
+    propagates the flows, and both responses read them. The reported
+    best-response residual is always measured against the exhaustive
+    deterministic search when it fits the budget.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -366,10 +381,10 @@ def solve_dynamic_mf_fixed_point(
         pols = [StagePolicy.from_rows(cfg.init_rows[i]) for i in range(2)]
         for i in range(2):
             _check_stage_policy(spec, i, pols[i])
-    rows, flows, iterations, settled = damped_fixed_point(
+    rows, (flows, _), iterations, settled = damped_fixed_point(
         [[k.rows for k in p.kernels] for p in pols],
-        lambda rs: propagate_mf_flow(spec, (StagePolicy.from_rows(rs[0]), StagePolicy.from_rows(rs[1]))),
-        lambda i, rows_i, flows, tau: _soft_stage_rows(spec, i, rows_i, flows, tau),
+        lambda rs: _propagate(spec, (StagePolicy.from_rows(rs[0]), StagePolicy.from_rows(rs[1]))),
+        lambda i, rows_i, field, tau: _soft_stage_rows(spec, i, rows_i, *field, tau),
         cfg,
     )
     policies = (StagePolicy.from_rows(rows[0]), StagePolicy.from_rows(rows[1]))
@@ -414,48 +429,65 @@ class SimulationReport:
     world_counts: np.ndarray
 
 
-def _simulate_episode(spec, sizes, rules, seed, episode):
-    """One coupled episode; returns per-team costs and empirical joints.
+def _episode_uniforms(spec: DynamicGameSpec, sizes) -> list[int]:
+    """Widths of the column blocks an episode reads from its stream, in
+    order: the world point, each team's initial states, then per stage
+    each team's observations and actions, and each team's next states
+    before the last stage."""
+    n1, n2 = sizes
+    stage = [n1, n1, n2, n2]
+    return [1, n1, n2] + (stage + [n1, n2]) * (spec.horizon - 1) + stage
+
+
+def _simulate_episodes(spec, sizes, rules, seed, episodes):
+    """One chunk of coupled episodes, episodes on the leading axis.
 
     rules[i][t] holds the running sums of team i's seat rules at stage t,
-    shaped (seats, Y, U).
+    shaped (seats, Y, U). Each episode draws its whole block of uniforms
+    from its own (seed, episode) stream in one call and reads the columns
+    in the order of _episode_uniforms, so an episode gets the same draws
+    alone or in any chunk. Stage tables are filled once per world point
+    that occurs, with the chunk's episodes there as keys. Returns the
+    world points (E,), each team's costs (E,) and empirical joints
+    (E, H, X, U).
     """
-    g = _philox(seed, episode)
-    w0 = int(_draw(np.cumsum(spec.prior), g.random()))
-    xs = []
-    for i in range(2):
-        t = spec.teams[i]
-        xs.append(_draw(np.cumsum(t.init_kernel[w0]), g.random(sizes[i])))
-    costs = [0.0, 0.0]
-    emp_joints = [
-        np.zeros((spec.horizon, spec.teams[i].states.size, spec.teams[i].actions.size))
-        for i in range(2)
-    ]
+    widths = _episode_uniforms(spec, sizes)
+    r = np.stack([_philox(seed, e).random(sum(widths)) for e in episodes])
+    cols = iter(np.split(r, np.cumsum(widths)[:-1], axis=1))
+    n_ep = len(r)
+    w0 = _inverse_cdf(np.cumsum(spec.prior), next(cols)[:, 0])
+    worlds = [(int(w), w0 == w) for w in np.unique(w0)]
+    xs = [_inverse_cdf(np.cumsum(ti.init_kernel, axis=1)[w0][:, None], next(cols)) for ti in spec.teams]
+    costs = [np.zeros(n_ep), np.zeros(n_ep)]
+    emp = [np.zeros((n_ep, spec.horizon, ti.states.size, ti.actions.size)) for ti in spec.teams]
     for t in range(spec.horizon):
         us = []
+        for i, ti in enumerate(spec.teams):
+            y = _inverse_cdf(np.cumsum(ti.obs_kernels[t], axis=1)[xs[i]], next(cols))
+            us.append(_inverse_cdf(rules[i][t][np.arange(sizes[i]), y], next(cols)))
+            cell = np.arange(n_ep)[:, None] * ti.states.size + xs[i]
+            counts = np.bincount((cell * ti.actions.size + us[i]).ravel(), minlength=emp[i][:, t].size)
+            emp[i][:, t] = counts.reshape(n_ep, ti.states.size, ti.actions.size) / sizes[i]
+        cost = [np.empty((n_ep, ti.states.size, ti.actions.size)) for ti in spec.teams]
+        trans = [np.empty((n_ep, ti.states.size, ti.actions.size, ti.states.size)) for ti in spec.teams]
+        for w, at in worlds:
+            c, p = _stage_tables(spec, w, t, [_marginals(e[at, t]) for e in emp])
+            for i in range(2):
+                cost[i][at] = c[i]
+                if p is not None:
+                    trans[i][at] = p[i]  # a statistic-free table is shared by every episode
         for i in range(2):
-            ti = spec.teams[i]
-            obs_cum = np.cumsum(ti.obs_kernels[t], axis=1)
-            y = (obs_cum[xs[i]] <= g.random(sizes[i])[:, None]).sum(axis=1)
-            y = np.minimum(y, ti.observations.size - 1)
-            sel = rules[i][t][np.arange(sizes[i]), y]
-            u = (sel <= g.random(sizes[i])[:, None]).sum(axis=1)
-            us.append(np.minimum(u, ti.actions.size - 1))
-        for i in range(2):
-            np.add.at(emp_joints[i][t], (xs[i], us[i]), 1.0)
-            emp_joints[i][t] /= sizes[i]
-        cost, trans = _stage_tables(spec, w0, t, [_marginals(e[t]) for e in emp_joints])
-        for i in range(2):
-            joint = emp_joints[i][t]
+            joint = emp[i][:, t].reshape(n_ep, -1)
+            charge = joint * cost[i].reshape(n_ep, -1)
             # a running sum over the occupied cells in order fixes the rounding
-            costs[i] = functools.reduce(operator.add, (joint * cost[i])[joint != 0], costs[i])
-        if trans is None:
+            for c in range(joint.shape[1]):
+                costs[i] = np.where(joint[:, c] != 0, costs[i] + charge[:, c], costs[i])
+        if t + 1 == spec.horizon:
             break
         for i in range(2):
-            cum = np.cumsum(trans[i], axis=-1)[xs[i], us[i]]
-            nxt = (cum <= g.random(sizes[i])[:, None]).sum(axis=1)
-            xs[i] = np.minimum(nxt, spec.teams[i].states.size - 1)
-    return w0, costs[0], costs[1], emp_joints
+            cum = np.cumsum(trans[i], axis=-1)[np.arange(n_ep)[:, None], xs[i], us[i]]
+            xs[i] = _inverse_cdf(cum, next(cols))
+    return w0, costs, emp
 
 
 def simulate_finite_n(
@@ -470,7 +502,10 @@ def simulate_finite_n(
     Every seat sees the realized empirical measures of both teams at each
     stage, so deviating seats perturb what everyone else is charged for.
     Empirical flows are averaged per (stage, world point); world points
-    that never occur keep zero flow and a zero count.
+    that never occur keep zero flow and a zero count. Episodes run in
+    chunks of at most SIM_CHUNK_UNIFORMS uniforms (one episode when a
+    single one needs more), which bounds memory; costs and flows are
+    combined in episode order, so any chunk size gives the same report.
     """
     if reps < MIN_MC_REPS:
         raise ModelError(f"reps must be >= {MIN_MC_REPS}")
@@ -483,18 +518,19 @@ def simulate_finite_n(
         for i in range(2)
     ]
     seed = _seed_of(rng)
-    results = [_simulate_episode(spec, sizes, rules, seed, e) for e in range(reps)]
+    per_chunk = max(1, SIM_CHUNK_UNIFORMS // sum(_episode_uniforms(spec, sizes)))
     counts = np.zeros(spec.n_world)
     flow_acc = [
         np.zeros((spec.n_world, spec.horizon, spec.teams[i].states.size, spec.teams[i].actions.size))
         for i in range(2)
     ]
     vals = [[], []]
-    for w0, c1, c2, emp in results:
-        counts[w0] += 1
-        for i, c in enumerate((c1, c2)):
-            vals[i].append(c)
-            flow_acc[i][w0] += emp[i]
+    for lo in range(0, reps, per_chunk):
+        w0, costs, emp = _simulate_episodes(spec, sizes, rules, seed, range(lo, min(reps, lo + per_chunk)))
+        np.add.at(counts, w0, 1.0)
+        for i in range(2):
+            vals[i] += costs[i].tolist()
+            np.add.at(flow_acc[i], w0, emp[i])  # in episode order, as one episode at a time would
     stats = [sample_mean_ci(v) for v in vals]
     # world points never drawn have zero sums, so they keep zero flow
     flows = [tuple(np.moveaxis(acc / np.maximum(counts, 1.0)[:, None, None, None], 1, 0)) for acc in flow_acc]

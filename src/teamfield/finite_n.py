@@ -14,6 +14,11 @@ oracle and a profile-by-profile enumerator on small instances.
 
 Certification is against the strongest deviation the theory allows: the
 whole team re-optimizes jointly, not seat by seat.
+
+The Monte Carlo path samples episodes from per-(seed, episode) streams.
+Each team's profile sampler is built once per call and realizes an
+episode's seat maps as one (seats, Y) array, so no per-seat objects are
+made.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .core.errors import BudgetError, ModelError
 from .core.spaces import Kernel
 from .core.specs import StaticGameSpec
 from .mf_static import kernel_grid
-from .policies import BehavioralPolicy, DetPolicy, TeamPolicy, sample_profile
+from .policies import BehavioralPolicy, DetPolicy, TeamPolicy, _inverse_cdf, _profile_sampler
 
 EXACT_ENUMERATION_BUDGET = 10_000_000
 BR_CANDIDATE_BUDGET = 10_000_000
@@ -49,12 +54,6 @@ def _seed_of(rng_or_seed) -> int:
     if isinstance(rng_or_seed, np.random.Generator):
         return int(rng_or_seed.integers(0, 2**63 - 1))
     raise ModelError("expected an integer seed or a numpy Generator")
-
-
-def _draw(cum: np.ndarray, r) -> np.ndarray:
-    """Vectorized inverse-CDF draw; cum is the running sum of the weights."""
-    idx = np.searchsorted(cum, r, side="right")
-    return np.minimum(idx, len(cum) - 1)
 
 
 class FiniteGameInstance:
@@ -210,20 +209,31 @@ def exact_cost(inst: FiniteGameInstance, p1: TeamPolicy, p2: TeamPolicy, team: i
     return _contract(team_profile_law(inst, own, team), _class_values(inst, opp, team))
 
 
-def _episode_cost(inst: FiniteGameInstance, p1, p2, team: int, seed: int, episode: int) -> float:
+def _team_sampler(inst: FiniteGameInstance, p: TeamPolicy, team: int):
+    """The team's profile sampler (see policies._profile_sampler), built once per mc_cost call."""
+    t = inst.spec.teams[team]
+    try:
+        return _profile_sampler(p, inst.team_sizes[team], t.observations.size, t.actions.size)
+    except ModelError as e:
+        raise ModelError(f"team {team} {e}") from None
+
+
+def _episode_cost(inst: FiniteGameInstance, samplers, team: int, seed: int, episode: int) -> float:
+    """One episode's average seat cost of `team`; samplers holds both teams' profile samplers.
+
+    The episode reads its (seed, episode) stream in this order: the world
+    point, then per team its profile and its seats' observations.
+    """
     spec = inst.spec
     g = _philox(seed, episode)
-    w0 = int(_draw(np.cumsum(spec.prior), g.random()))
-    teams = (p1, p2)
+    w0 = int(_inverse_cdf(np.cumsum(spec.prior), g.random()))
     emps = []
     own_actions = None
-    for i in (0, 1):
-        t = spec.teams[i]
+    for i, t in enumerate(spec.teams):
         n = inst.team_sizes[i]
-        profile = sample_profile(teams[i], n, g)
-        y = _draw(np.cumsum(t.obs_kernel[w0]), g.random(n))
-        amat = np.asarray([d.actions for d in profile], dtype=np.int64)
-        u = amat[np.arange(n), y]
+        maps = samplers[i](g)
+        y = _inverse_cdf(np.cumsum(t.obs_kernel[w0]), g.random(n))
+        u = maps[np.arange(n), y]
         emps.append(np.bincount(u, minlength=t.actions.size).astype(np.float64) / n)
         if i == team:
             own_actions = u
@@ -260,14 +270,17 @@ def mc_cost(
     """Monte Carlo estimate of one team's cost with a 99 percent CI halfwidth.
 
     Episode randomness is a counter-based stream keyed by (seed, episode),
-    so every episode can be replayed on its own.
+    so every episode can be replayed on its own. Each team's profiles come
+    from one sampler built per call, which checks the policy against the
+    team's seats, observations and actions first.
     """
     if reps < MIN_MC_REPS:
         raise ModelError(f"reps must be >= {MIN_MC_REPS}")
     if team not in (0, 1):
         raise ModelError(f"team index {team} out of range")
     seed = _seed_of(rng)
-    return sample_mean_ci([_episode_cost(inst, p1, p2, team, seed, e) for e in range(reps)])
+    samplers = (_team_sampler(inst, p1, 0), _team_sampler(inst, p2, 1))
+    return sample_mean_ci([_episode_cost(inst, samplers, team, seed, e) for e in range(reps)])
 
 
 def _det_map_laws(inst: FiniteGameInstance, team: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
@@ -487,8 +500,5 @@ def sample_team_actions(
     seed = _seed_of(rng)
     g = _philox(seed, 0)
     t = spec.teams[team]
-    y = _draw(np.cumsum(t.obs_kernel[omega0]), g.random(n))
-    cum = np.cumsum(b.kernel.rows, axis=1)
-    ru = g.random(n)
-    u = (cum[y] <= ru[:, None]).sum(axis=1)
-    return np.minimum(u, b.kernel.rows.shape[1] - 1)
+    y = _inverse_cdf(np.cumsum(t.obs_kernel[omega0]), g.random(n))
+    return _inverse_cdf(np.cumsum(b.kernel.rows, axis=1)[y], g.random(n))

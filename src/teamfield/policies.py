@@ -242,38 +242,60 @@ def is_exchangeable(p: TeamPolicy, tol: float = 1e-9, max_support: int = DEFAULT
     return True
 
 
-def _inverse_cdf(weights, r: float) -> int:
-    """Index drawn by inverse CDF, weights accumulated in input order."""
-    cum = np.cumsum(np.asarray(weights, dtype=np.float64))
-    idx = int(np.searchsorted(cum, r, side="right"))
-    return min(idx, len(cum) - 1)
+def _inverse_cdf(cum: np.ndarray, r) -> np.ndarray:
+    """Index drawn by inverse CDF per uniform in r: how many running sums
+    in cum (..., K) lie at or below it, capped at K - 1. The leading axes
+    of cum broadcast against those of r."""
+    return np.minimum((cum <= np.asarray(r)[..., None]).sum(axis=-1), cum.shape[-1] - 1)
 
 
-def sample_profile(p: TeamPolicy, n_dms: int, rng: np.random.Generator) -> list[DetPolicy]:
-    """Realize one deterministic profile for a team of n_dms seats.
+def _profile_sampler(p: TeamPolicy, n_dms: int, n_obs: int, n_actions: int):
+    """Sampler of the policy's deterministic profiles for n_dms seats with
+    n_obs observations and n_actions actions.
 
-    Behavioral rules are realized observation by observation, which agrees
-    in law with sampling the whole map up front since each seat consumes a
-    single observation. Mixtures draw one component with shared randomness.
+    Returns draw(rng), which realizes one profile as an (n_dms, n_obs)
+    array of seat maps. A mixture reads one uniform and picks a component
+    by inverse CDF over its weights in order, which is the randomness its
+    seats share. Behavioral rules read rng.random((n_dms, n_obs)), seat by
+    seat and observation by observation, and draw each action by inverse
+    CDF over its row. Realizing the whole map up front agrees in law with
+    acting at the one observation a seat gets. Raises ModelError when the
+    policy has another seat count or shape.
     """
     if n_dms < 1:
         raise ModelError("team size must be >= 1")
     if p.kind in ("product", "mixture") and p.n_dms != n_dms:
         raise ModelError(f"policy describes {p.n_dms} seats, asked for {n_dms}")
     if p.kind == "mixture":
-        weights = [w for w, _ in p.components]
-        comp = _inverse_cdf(weights, float(rng.random()))
-        return list(p.components[comp][1])
-    if p.kind == "product":
-        bases = list(p.members)
+        maps = [[d.actions for d in profile] for _, profile in p.components]
+        if any(len(a) != n_obs or not all(0 <= u < n_actions for u in a) for m in maps for a in m):
+            raise ModelError("policy shape mismatch")
+        maps = np.array(maps, dtype=np.int64).reshape(len(maps), n_dms, n_obs)
+        maps.flags.writeable = False
+        cum = np.cumsum(np.asarray([w for w, _ in p.components], dtype=np.float64))
+        return lambda rng: maps[int(_inverse_cdf(cum, rng.random()))]
+    rules = p.members if p.kind == "product" else (p.base,)
+    if any(b.kernel.rows.shape != (n_obs, n_actions) for b in rules):
+        raise ModelError("policy shape mismatch")
+    cum = np.cumsum(np.stack([b.kernel.rows for b in rules]), axis=-1)  # (seats or 1, Y, U)
+    return lambda rng: _inverse_cdf(cum, rng.random((n_dms, n_obs)))
+
+
+def sample_profile(p: TeamPolicy, n_dms: int, rng: np.random.Generator) -> list[DetPolicy]:
+    """Realize one deterministic profile for a team of n_dms seats.
+
+    A thin wrapper over the sampler mc_cost draws its episodes with, so it
+    reads the same uniforms: one for a mixture, which picks a component
+    with shared randomness, and n_dms * Y for behavioral rules, seat by
+    seat, one per observation. The observation and action counts come
+    from the policy.
+    """
+    if p.kind == "mixture":
+        maps = [d.actions for _, profile in p.components for d in profile]
+        n_obs, n_actions = len(maps[0]), 1 + max(max(a) for a in maps)
     else:
-        bases = [p.base] * n_dms
-    out = []
-    for b in bases:
-        rows = b.kernel.rows
-        draws = rng.random(b.n_obs)
-        out.append(DetPolicy(tuple(_inverse_cdf(rows[y], float(draws[y])) for y in range(b.n_obs))))
-    return out
+        n_obs, n_actions = (p.members[0] if p.kind == "product" else p.base).kernel.rows.shape
+    return [DetPolicy(row) for row in _profile_sampler(p, n_dms, n_obs, n_actions)(rng)]
 
 
 def induced_seat_kernel(p: TeamPolicy, seat: int, n_actions: int, max_support: int = DEFAULT_SUPPORT_CAP) -> Kernel:

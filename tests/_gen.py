@@ -120,8 +120,10 @@ def random_det_profile(rng, n_obs, n_actions, n_dms):
     ]
 
 
-def random_team_policy(rng, n_obs, n_actions, n_dms) -> TeamPolicy:
-    kind = ("symmetric-iid", "product", "mixture")[int(rng.integers(0, 3))]
+def random_team_policy(rng, n_obs, n_actions, n_dms, kind=None) -> TeamPolicy:
+    """A random team policy of the given kind, or of a random kind."""
+    if kind is None:
+        kind = ("symmetric-iid", "product", "mixture")[int(rng.integers(0, 3))]
     if kind == "symmetric-iid":
         return TeamPolicy.symmetric_iid(random_behavioral(rng, n_obs, n_actions))
     if kind == "product":

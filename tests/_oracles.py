@@ -4,10 +4,11 @@ Everything here is written the slow, obvious way: direct enumeration
 over joint profiles with exact rational probabilities, seat-by-seat
 enumeration of joint action profiles and joint deterministic deviations,
 statically and over a finite horizon, plain loops for chain propagation
-and frozen-flow best responses, and a candidate-by-candidate mean-field
-grid search on scalar cost evaluations. None of it shares code with the
-package's count-class, count-chain and batched cost paths, which is the
-point.
+and frozen-flow best responses, a candidate-by-candidate mean-field
+grid search on scalar cost evaluations, and Monte Carlo episodes one at
+a time with a seat-by-seat profile sampler. None of it shares code with
+the package's count-class, count-chain, batched cost and batched
+sampling paths, which is the point.
 """
 
 from __future__ import annotations
@@ -634,3 +635,134 @@ def loop_coordinate_descent(spec, team, cost, trans):
                     picks, best = trial, v
                     improved = True
     return best, tuple(picks)
+
+
+def _philox_stream(seed, episode):
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, episode], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _pick(weights, r):
+    """Index drawn by inverse CDF, weights accumulated in input order."""
+    cum = np.cumsum(np.asarray(weights, dtype=np.float64))
+    return min(int(np.searchsorted(cum, r, side="right")), len(cum) - 1)
+
+
+def _mean_ci(values):
+    """Mean and 99 percent CI halfwidth, both sums exactly rounded."""
+    n = len(values)
+    mean = math.fsum(values) / n
+    std = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (n - 1))
+    return mean, 2.58 * std / math.sqrt(n)
+
+
+def seat_sample_profile(policy, n, rng):
+    """One deterministic profile as n tuples of actions, seat by seat.
+
+    A mixture draws one uniform for its component. Behavioral rules draw
+    one block of Y uniforms per seat and pick each observation's action
+    from its own row.
+    """
+    if policy.kind == "mixture":
+        comp = _pick([w for w, _ in policy.components], float(rng.random()))
+        return [d.actions for d in policy.components[comp][1]]
+    bases = list(policy.members) if policy.kind == "product" else [policy.base] * n
+    out = []
+    for b in bases:
+        rows = b.kernel.rows
+        draws = rng.random(len(rows))
+        out.append(tuple(_pick(rows[y], float(draws[y])) for y in range(len(rows))))
+    return out
+
+
+def episode_mc_cost(spec, team_sizes, p1, p2, team, reps, seed):
+    """Monte Carlo team cost one episode at a time: (mean, CI halfwidth).
+
+    Episode e reads the Philox stream keyed by (seed, e): the world point,
+    then per team its profile (seat_sample_profile) and its seats'
+    observations.
+    """
+    values = []
+    for e in range(reps):
+        g = _philox_stream(seed, e)
+        w0 = _pick(spec.prior, float(g.random()))
+        emps, own = [], None
+        for i, policy in enumerate((p1, p2)):
+            t, n = spec.teams[i], team_sizes[i]
+            profile = seat_sample_profile(policy, n, g)
+            ys = g.random(n)
+            acts = [profile[s][_pick(t.obs_kernel[w0], float(ys[s]))] for s in range(n)]
+            emps.append(np.bincount(acts, minlength=t.actions.size).astype(np.float64) / n)
+            if i == team:
+                own = acts
+        s1 = spec.teams[0].statistic.apply_raw(emps[0])
+        s2 = spec.teams[1].statistic.apply_raw(emps[1])
+        t = spec.teams[team]
+        freq = np.bincount(own, minlength=t.actions.size) / team_sizes[team]
+        total = 0.0
+        for u in np.flatnonzero(freq):
+            total += freq[u] * t.cost.value(w0, int(u), s1, s2)
+        values.append(total)
+    return _mean_ci(values)
+
+
+def episode_simulation(spec, team_sizes, seat_pols, reps, seed):
+    """Coupled finite-team rollout, one episode and one seat at a time.
+
+    seat_pols[i] lists team i's stage policy per seat. Episode e reads the
+    Philox stream keyed by (seed, e) in blocks: the world point, each
+    team's initial states, then per stage each team's observations and
+    actions, and each team's next states. Costs run over the occupied
+    (state, action) cells in order, scalar stage costs times empirical
+    masses; flows average the empirical joints per world point in episode
+    order. Returns (costs, CI halfwidths, flows[i][t] of shape (W, X, U),
+    world counts).
+    """
+    n_w, horizon = spec.n_world, spec.horizon
+    vals = [[], []]
+    counts = np.zeros(n_w)
+    acc = [np.zeros((n_w, horizon, t.states.size, t.actions.size)) for t in spec.teams]
+    for e in range(reps):
+        g = _philox_stream(seed, e)
+        w0 = _pick(spec.prior, float(g.random()))
+        xs = []
+        for i, t in enumerate(spec.teams):
+            r = g.random(team_sizes[i])
+            xs.append([_pick(t.init_kernel[w0], float(v)) for v in r])
+        costs = [0.0, 0.0]
+        for stage in range(horizon):
+            us = []
+            for i, t in enumerate(spec.teams):
+                ry, ru = g.random(team_sizes[i]), g.random(team_sizes[i])
+                acts = []
+                for s, x in enumerate(xs[i]):
+                    y = _pick(t.obs_kernels[stage][x], float(ry[s]))
+                    acts.append(_pick(seat_pols[i][s].kernels[stage].rows[y], float(ru[s])))
+                us.append(acts)
+            joints = []
+            for i, t in enumerate(spec.teams):
+                joint = np.zeros((t.states.size, t.actions.size))
+                for x, u in zip(xs[i], us[i]):
+                    joint[x, u] += 1.0
+                joints.append(joint / team_sizes[i])
+            (sx1, su1), (sx2, su2) = (
+                (t.stat_x.apply_raw(j.sum(axis=1)), t.stat_u.apply_raw(j.sum(axis=0))) for t, j in zip(spec.teams, joints)
+            )
+            for i, t in enumerate(spec.teams):
+                acc[i][w0, stage] += joints[i]
+                for x in range(t.states.size):
+                    for u in range(t.actions.size):
+                        if joints[i][x, u] != 0:
+                            costs[i] += joints[i][x, u] * t.stage_cost.value(w0, x, u, sx1, sx2, su1, su2)
+            if stage + 1 == horizon:
+                break
+            for i, t in enumerate(spec.teams):
+                r = g.random(team_sizes[i])
+                rows = [t.transition.rows_at(stage, x, u, sx1, sx2, su1, su2) for x, u in zip(xs[i], us[i])]
+                xs[i] = [_pick(row, float(v)) for row, v in zip(rows, r)]
+        counts[w0] += 1
+        for i in range(2):
+            vals[i].append(costs[i])
+    stats = [_mean_ci(v) for v in vals]
+    flows = [[acc[i][:, stage] / np.maximum(counts, 1.0)[:, None, None] for stage in range(horizon)] for i in range(2)]
+    return (stats[0][0], stats[1][0]), (stats[0][1], stats[1][1]), flows, counts

@@ -23,6 +23,7 @@ from teamfield.io import load_spec
 from teamfield.mf_static import SolverConfig
 from tests._gen import random_dynamic_spec, random_stage_policy
 from tests._oracles import (
+    episode_simulation,
     forward_flow_cost,
     loop_best_response,
     loop_coordinate_descent,
@@ -190,6 +191,69 @@ def test_simulation_follows_each_seats_stage_rules():
     rep = simulate_finite_n(spec, (2, 3), ([first, second], first), reps=100, rng=4)
     actions = [[rep.flows[i][t][0].sum(axis=0).tolist() for t in range(2)] for i in range(2)]
     assert actions == [[[0.5, 0.5], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]]
+
+
+def _simulation_case(case):
+    """A game, team sizes and one stage policy per seat: the bundled games,
+    or random chains over W = 1, 2, both transition families and both
+    kinds of action statistic."""
+    rng = np.random.default_rng(2000 + (case if isinstance(case, int) else len(case)))
+    if case in ("crowd", "copies"):
+        spec = load_spec(CROWD if case == "crowd" else CHAIN)
+    else:
+        dims = (2 + case % 2, 2 + (case // 2) % 2, 1 + (case // 3) % 2, 1 + case % 2)
+        spec = random_dynamic_spec(rng, *dims, ("fixed", "mean-field-mixture")[(case // 2) % 2], horizon=2 + case % 3)
+    sizes = (int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+    seats = [
+        [random_stage_policy(rng, spec, i, deterministic=bool(rng.random() < 0.3)) for _ in range(sizes[i])]
+        for i in range(2)
+    ]
+    return spec, sizes, seats
+
+
+SIMULATION_CASES = ["crowd", "copies", *range(10)]
+
+
+def test_simulation_cases_cover_worlds_transitions_and_statistics():
+    specs = [_simulation_case(case)[0] for case in SIMULATION_CASES]
+    assert {s.n_world for s in specs} == {1, 2}
+    assert {t.transition.statistic_free for s in specs for t in s.teams} == {True, False}
+    assert {t.stat_u.kind for s in specs for t in s.teams} == {"identity", "mean-embedding"}
+
+
+@pytest.mark.parametrize("case", SIMULATION_CASES)
+def test_simulation_matches_the_episode_oracle_bit_for_bit(case):
+    spec, sizes, seats = _simulation_case(case)
+    rep = simulate_finite_n(spec, sizes, (seats[0], seats[1]), 110, 31)
+    costs, ci, flows, counts = episode_simulation(spec, sizes, seats, 110, 31)
+    assert rep.costs == costs
+    assert rep.ci_halfwidth == ci
+    np.testing.assert_array_equal(rep.world_counts, counts)
+    for i in range(2):
+        for t in range(spec.horizon):
+            np.testing.assert_array_equal(rep.flows[i][t], flows[i][t])
+
+
+@pytest.mark.parametrize("case", ["crowd", 3])
+def test_simulation_chunks_change_nothing(monkeypatch, case):
+    import teamfield.dynamic as dynamic
+
+    spec, sizes, seats = _simulation_case(case)
+    whole = simulate_finite_n(spec, sizes, (seats[0], seats[1]), 103, 8)
+    per_episode = sum(dynamic._episode_uniforms(spec, sizes))
+    assert 103 * per_episode <= dynamic.SIM_CHUNK_UNIFORMS  # the default run is one chunk
+    for uniforms in (3 * per_episode + 1, 5):  # 3 episodes per chunk, then 1
+        calls = []
+        run = dynamic._simulate_episodes
+        monkeypatch.setattr(dynamic, "SIM_CHUNK_UNIFORMS", uniforms)
+        monkeypatch.setattr(dynamic, "_simulate_episodes", lambda *a: calls.append(len(a[-1])) or run(*a))
+        part = simulate_finite_n(spec, sizes, (seats[0], seats[1]), 103, 8)
+        monkeypatch.setattr(dynamic, "_simulate_episodes", run)
+        assert calls == ([3] * 34 + [1] if uniforms > per_episode else [1] * 103)
+        assert (part.costs, part.ci_halfwidth) == (whole.costs, whole.ci_halfwidth)
+        np.testing.assert_array_equal(part.world_counts, whole.world_counts)
+        for i in range(2):
+            np.testing.assert_array_equal(np.stack(part.flows[i]), np.stack(whole.flows[i]))
 
 
 def test_simulated_flows_match_propagated_flows_in_the_large_team_limit():

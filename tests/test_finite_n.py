@@ -25,7 +25,7 @@ from teamfield.policies import (
     permute_profile,
 )
 from tests._gen import random_behavioral, random_static_spec, random_team_policy, three_signal_spec
-from tests._oracles import check_exchangeable_br_value, oracle_exact_cost
+from tests._oracles import check_exchangeable_br_value, episode_mc_cost, oracle_exact_cost
 from tests._paths import GAMES
 
 
@@ -298,6 +298,52 @@ def test_mc_ci_covers_exact_on_random_instances():
             if abs(mean - exact) > max(ci, 1e-12):
                 misses += 1
     assert misses <= 1, f"{misses} of {total} intervals missed"
+
+
+@pytest.mark.parametrize("seed", range(9))
+def test_mc_cost_matches_the_episode_oracle_bit_for_bit(seed):
+    rng = np.random.default_rng(9100 + seed)
+    spec = random_static_spec(rng)
+    sizes = (int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+    inst = FiniteGameInstance(spec, sizes)
+    kinds = ("symmetric-iid", "product", "mixture")
+    pols = [
+        random_team_policy(rng, t.observations.size, t.actions.size, n, kinds[(seed + 2 * i) % 3])
+        for i, (t, n) in enumerate(zip(spec.teams, sizes))
+    ]
+    for team in (0, 1):
+        got = mc_cost(inst, pols[0], pols[1], team, 120, 77 + seed)
+        assert got == episode_mc_cost(spec, sizes, pols[0], pols[1], team, 120, 77 + seed)
+
+
+def test_mc_cost_rejects_mis_shaped_policies_like_exact_cost():
+    spec = three_signal_spec()  # 3 observations, 2 actions
+    inst = FiniteGameInstance(spec, (40, 40))
+    good = TeamPolicy.symmetric_iid(_uniform_rule(3, 2))
+    for bad in (_uniform_rule(1, 2), _uniform_rule(3, 3)):
+        for team in (0, 1):
+            pair = (TeamPolicy.symmetric_iid(bad), good) if team == 0 else (good, TeamPolicy.symmetric_iid(bad))
+            with pytest.raises(ModelError, match=f"team {team} policy shape mismatch"):
+                mc_cost(inst, pair[0], pair[1], 0, 100, 1)
+            with pytest.raises(ModelError, match=f"team {team} policy shape mismatch"):
+                exact_cost(FiniteGameInstance(spec, (2, 2)), pair[0], pair[1], 0)
+    short = TeamPolicy.mixture([(1.0, [DetPolicy((0, 1))] * 40)])
+    with pytest.raises(ModelError, match="team 0 policy shape mismatch"):
+        mc_cost(inst, short, good, 0, 100, 1)
+
+
+def test_mc_cost_builds_no_seat_objects(monkeypatch):
+    # the static sampler works on seat-map arrays; a DetPolicy per seat per
+    # episode is what made it slow
+    built = []
+    post_init = DetPolicy.__post_init__
+    monkeypatch.setattr(DetPolicy, "__post_init__", lambda self: built.append(1) or post_init(self))
+    spec = load_spec(GAMES / "spread.json")
+    half = TeamPolicy.symmetric_iid(BehavioralPolicy.from_rows([[0.5, 0.5]]))
+    DetPolicy((0,))
+    assert built == [1]  # the counter sees constructions
+    mc_cost(FiniteGameInstance(spec, (400, 400)), half, half, 0, 100, 3)
+    assert built == [1]
 
 
 def test_exchangeable_br_restriction_costs_nothing():

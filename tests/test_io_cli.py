@@ -285,6 +285,21 @@ def test_cli_certify_json_and_csv(tmp_path):
     assert doc["method"] == "exact"
 
 
+def test_cli_monte_carlo_certify_rejects_a_mis_shaped_policy(tmp_path):
+    # one signal where the game has three: the Monte Carlo row at 40 seats
+    # refuses it the way the exact path does
+    blind = TeamPolicy.symmetric_iid(BehavioralPolicy.from_rows([[0.5, 0.5]]))
+    ppath = tmp_path / "pair.json"
+    write_json(ppath, policy_pair_doc((blind, blind)))
+    spec_path = tmp_path / "three_signal.json"
+    spec_path.write_text(json.dumps(THREE_SIGNAL_DOC))
+    args = ["certify", "--spec", spec_path, "--policy", ppath, "--reps", "100", "--seed", "5", "--deviation-step", "1.0"]
+    for n in ("40", "2"):
+        r = _run(args + ["--n", n, n])
+        assert r.returncode == 1
+        assert "team 0 policy shape mismatch" in r.stderr
+
+
 def test_cli_sweep_csv_deterministic_across_workers(tmp_path):
     # the 8-map game: exact at 2 and 4 seats, Monte Carlo at 40
     uniform = TeamPolicy.symmetric_iid(BehavioralPolicy.from_rows([[0.5, 0.5]] * 3))

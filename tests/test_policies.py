@@ -19,7 +19,7 @@ from teamfield.policies import (
     symmetrize,
 )
 from tests._gen import random_behavioral, random_team_policy
-from tests._oracles import joint_action_law_rational
+from tests._oracles import joint_action_law_rational, seat_sample_profile
 
 
 def _unit_spec(n_obs: int, n_actions: int) -> StaticGameSpec:
@@ -154,6 +154,18 @@ def test_sample_profile_is_deterministic_in_the_seed():
     a = [d.actions for d in sample_profile(p, 3, np.random.default_rng(42))]
     b = [d.actions for d in sample_profile(p, 3, np.random.default_rng(42))]
     assert a == b
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sample_profile_matches_the_seat_oracle(seed):
+    rng = np.random.default_rng(600 + seed)
+    n_obs, n_actions, n = int(rng.integers(1, 4)), int(rng.integers(2, 4)), int(rng.integers(1, 6))
+    for _ in range(5):
+        p = random_team_policy(rng, n_obs, n_actions, n)
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            assert [d.actions for d in sample_profile(p, n, a)] == seat_sample_profile(p, n, b)
+        assert a.random() == b.random()  # both read the same number of uniforms
 
 
 def test_sample_profile_respects_mixture_support():
