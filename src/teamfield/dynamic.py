@@ -13,8 +13,9 @@ fixed-point iteration, and the coupled finite-team simulator all live
 here. The simulator feeds every seat the realized empirical measures
 (deviators included), which is exactly what the finite-team epsilon
 estimates need. It runs chunks of episodes as arrays, episodes on the
-leading axis, each episode on its own (seed, episode) stream, so the
-chunk size never changes a result.
+leading axis, each episode on its own (seed, episode) stream (one Philox
+generator per call, re-keyed per episode, as the static Monte Carlo
+path does), so the chunk size never changes a result.
 
 One backward induction, _policy_values, scores stage policies at frozen
 flows: the representative-seat cost, the exhaustive best response, the
@@ -54,8 +55,9 @@ from .finite_n import (
     MC_DEVIATION_BUDGET,
     MIN_MC_REPS,
     EpsilonReport,
+    SIM_CHUNK_UNIFORMS,
+    _episode_streams,
     _mc_epsilon,
-    _philox,
     _seed_of,
     sample_mean_ci,
 )
@@ -66,7 +68,6 @@ DYN_BR_BUDGET = 1_000_000
 DYN_EXACT_CANDIDATE_BUDGET = 1_000_000
 DYN_EXACT_PATH_BUDGET = 2_500_000
 CHAIN_CHUNK_ROWS = 1 << 16
-SIM_CHUNK_UNIFORMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -439,20 +440,20 @@ def _episode_uniforms(spec: DynamicGameSpec, sizes) -> list[int]:
     return [1, n1, n2] + (stage + [n1, n2]) * (spec.horizon - 1) + stage
 
 
-def _simulate_episodes(spec, sizes, rules, seed, episodes):
+def _simulate_episodes(spec, sizes, rules, stream, episodes):
     """One chunk of coupled episodes, episodes on the leading axis.
 
     rules[i][t] holds the running sums of team i's seat rules at stage t,
     shaped (seats, Y, U). Each episode draws its whole block of uniforms
-    from its own (seed, episode) stream in one call and reads the columns
-    in the order of _episode_uniforms, so an episode gets the same draws
-    alone or in any chunk. Stage tables are filled once per world point
-    that occurs, with the chunk's episodes there as keys. Returns the
-    world points (E,), each team's costs (E,) and empirical joints
+    from stream(e), its (seed, episode) stream, in one call and reads the
+    columns in the order of _episode_uniforms, so an episode gets the same
+    draws alone or in any chunk. Stage tables are filled once per world
+    point that occurs, with the chunk's episodes there as keys. Returns
+    the world points (E,), each team's costs (E,) and empirical joints
     (E, H, X, U).
     """
     widths = _episode_uniforms(spec, sizes)
-    r = np.stack([_philox(seed, e).random(sum(widths)) for e in episodes])
+    r = np.stack([stream(e).random(sum(widths)) for e in episodes])
     cols = iter(np.split(r, np.cumsum(widths)[:-1], axis=1))
     n_ep = len(r)
     w0 = _inverse_cdf(np.cumsum(spec.prior), next(cols)[:, 0])
@@ -517,7 +518,7 @@ def simulate_finite_n(
         [np.cumsum(np.stack([p.kernels[t].rows for p in seat_pols[i]]), axis=2) for t in range(spec.horizon)]
         for i in range(2)
     ]
-    seed = _seed_of(rng)
+    stream = _episode_streams(_seed_of(rng))
     per_chunk = max(1, SIM_CHUNK_UNIFORMS // sum(_episode_uniforms(spec, sizes)))
     counts = np.zeros(spec.n_world)
     flow_acc = [
@@ -526,7 +527,7 @@ def simulate_finite_n(
     ]
     vals = [[], []]
     for lo in range(0, reps, per_chunk):
-        w0, costs, emp = _simulate_episodes(spec, sizes, rules, seed, range(lo, min(reps, lo + per_chunk)))
+        w0, costs, emp = _simulate_episodes(spec, sizes, rules, stream, range(lo, min(reps, lo + per_chunk)))
         np.add.at(counts, w0, 1.0)
         for i in range(2):
             vals[i] += costs[i].tolist()

@@ -15,10 +15,12 @@ oracle and a profile-by-profile enumerator on small instances.
 Certification is against the strongest deviation the theory allows: the
 whole team re-optimizes jointly, not seat by seat.
 
-The Monte Carlo path samples episodes from per-(seed, episode) streams.
-Each team's profile sampler is built once per call and realizes an
-episode's seat maps as one (seats, Y) array, so no per-seat objects are
-made.
+The Monte Carlo path runs chunks of episodes as arrays, episodes on the
+leading axis, each episode on its own (seed, episode) stream: one Philox
+generator per call, re-keyed per episode. Each team's profile sampler is
+built once per call and realizes a chunk's seat maps as one (episodes,
+seats, Y) array, so no per-seat objects are made, and the chunk size
+never changes a result.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .core.costs import _scalar_views
 from .core.errors import BudgetError, ModelError
 from .core.spaces import Kernel
 from .core.specs import StaticGameSpec
@@ -41,11 +44,34 @@ BR_CANDIDATE_BUDGET = 10_000_000
 MIN_MC_REPS = 100
 MC_DEVIATION_BUDGET = 20_000
 CI_SCALE = 2.58  # normal two-sided 99 percent
+SIM_CHUNK_UNIFORMS = 1 << 16  # uniforms per chunk of Monte Carlo episodes
 
 
 def _philox(seed: int, episode: int) -> np.random.Generator:
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, episode], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _episode_streams(seed: int):
+    """The (seed, episode) streams of one Monte Carlo call from one generator.
+
+    Returns stream(e), which re-keys the call's Philox generator to
+    (seed, e) with counter 0, an empty buffer and no pending 32-bit half,
+    the state _philox(seed, e) starts in, and returns it. A counter-based
+    stream is keyed, not seeded, so this gives the same draws without
+    building a bit generator, and numpy's entropy draw, per episode. The
+    previous episode's generator is reset, so draw from one at a time.
+    """
+    bits = np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64))
+    fresh = bits.state
+    g = np.random.Generator(bits)
+
+    def stream(episode: int) -> np.random.Generator:
+        fresh["state"]["key"][1] = episode
+        bits.state = fresh
+        return g
+
+    return stream
 
 
 def _seed_of(rng_or_seed) -> int:
@@ -218,32 +244,47 @@ def _team_sampler(inst: FiniteGameInstance, p: TeamPolicy, team: int):
         raise ModelError(f"team {team} {e}") from None
 
 
-def _episode_cost(inst: FiniteGameInstance, samplers, team: int, seed: int, episode: int) -> float:
-    """One episode's average seat cost of `team`; samplers holds both teams' profile samplers.
+def _static_uniforms(inst: FiniteGameInstance, samplers) -> list[int]:
+    """Widths of the column blocks a static episode reads from its stream,
+    in order: the world point, then per team its profile (samplers holds
+    both teams' (width, draw) profile samplers) and its seats' observations."""
+    return [1] + [k for (width, _), n in zip(samplers, inst.team_sizes) for k in (width, n)]
 
-    The episode reads its (seed, episode) stream in this order: the world
-    point, then per team its profile and its seats' observations.
+
+def _static_episodes(inst: FiniteGameInstance, samplers, team: int, stream, episodes) -> np.ndarray:
+    """Average seat costs of `team` in one chunk of episodes, episodes on the leading axis.
+
+    Each episode draws its whole block of uniforms from stream(e), its
+    (seed, episode) stream, in one call and reads the columns in the order
+    of _static_uniforms, so an episode gets the same draws alone or in any
+    chunk. Costs are read once per world point that occurs; an episode's
+    cost is a running sum over the actions its team plays, in action
+    order, which fixes the rounding.
     """
     spec = inst.spec
-    g = _philox(seed, episode)
-    w0 = int(_inverse_cdf(np.cumsum(spec.prior), g.random()))
+    widths = _static_uniforms(inst, samplers)
+    r = np.stack([stream(e).random(sum(widths)) for e in episodes])
+    cols = iter(np.split(r, np.cumsum(widths)[:-1], axis=1))
+    n_ep = len(r)
+    w0 = _inverse_cdf(np.cumsum(spec.prior), next(cols)[:, 0])
     emps = []
-    own_actions = None
-    for i, t in enumerate(spec.teams):
-        n = inst.team_sizes[i]
-        maps = samplers[i](g)
-        y = _inverse_cdf(np.cumsum(t.obs_kernel[w0]), g.random(n))
-        u = maps[np.arange(n), y]
-        emps.append(np.bincount(u, minlength=t.actions.size).astype(np.float64) / n)
-        if i == team:
-            own_actions = u
-    s1 = spec.teams[0].statistic.apply_raw(emps[0])
-    s2 = spec.teams[1].statistic.apply_raw(emps[1])
-    t = spec.teams[team]
-    freq = np.bincount(own_actions, minlength=t.actions.size) / inst.team_sizes[team]
-    total = 0.0
-    for u in np.flatnonzero(freq):
-        total += freq[u] * t.cost.value(w0, int(u), s1, s2)
+    for (_, draw), t, n in zip(samplers, spec.teams, inst.team_sizes):
+        maps = draw(next(cols))
+        y = _inverse_cdf(np.cumsum(t.obs_kernel, axis=1)[w0][:, None], next(cols))
+        u = np.take_along_axis(maps, y[..., None], axis=2)[..., 0]
+        cell = np.arange(n_ep)[:, None] * t.actions.size + u
+        emps.append(np.bincount(cell.ravel(), minlength=n_ep * t.actions.size).reshape(n_ep, -1) / n)
+    s1, s2 = (_scalar_views(t.statistic.apply_raw(e), 1) for t, e in zip(spec.teams, emps))
+    cost = spec.teams[team].cost
+    freq = emps[team]
+    values = np.empty_like(freq)
+    for w in np.unique(w0):
+        at = w0 == w
+        for u in range(freq.shape[1]):
+            values[at, u] = cost.value_batch(int(w), u, s1[at], s2[at])
+    total = np.zeros(n_ep)
+    for u in range(freq.shape[1]):
+        total = np.where(freq[:, u] != 0, total + freq[:, u] * values[:, u], total)
     return total
 
 
@@ -270,17 +311,24 @@ def mc_cost(
     """Monte Carlo estimate of one team's cost with a 99 percent CI halfwidth.
 
     Episode randomness is a counter-based stream keyed by (seed, episode),
-    so every episode can be replayed on its own. Each team's profiles come
-    from one sampler built per call, which checks the policy against the
-    team's seats, observations and actions first.
+    so every episode can be replayed on its own; one Philox generator per
+    call is re-keyed for each episode. Each team's profiles come from one
+    sampler built per call, which checks the policy against the team's
+    seats, observations and actions first. Episodes run in chunks of at
+    most SIM_CHUNK_UNIFORMS uniforms (one episode when a single one needs
+    more), which bounds memory; any chunk size gives the same estimate.
     """
     if reps < MIN_MC_REPS:
         raise ModelError(f"reps must be >= {MIN_MC_REPS}")
     if team not in (0, 1):
         raise ModelError(f"team index {team} out of range")
-    seed = _seed_of(rng)
+    stream = _episode_streams(_seed_of(rng))
     samplers = (_team_sampler(inst, p1, 0), _team_sampler(inst, p2, 1))
-    return sample_mean_ci([_episode_cost(inst, samplers, team, seed, e) for e in range(reps)])
+    per_chunk = max(1, SIM_CHUNK_UNIFORMS // sum(_static_uniforms(inst, samplers)))
+    values = []
+    for lo in range(0, reps, per_chunk):
+        values += _static_episodes(inst, samplers, team, stream, range(lo, min(reps, lo + per_chunk))).tolist()
+    return sample_mean_ci(values)
 
 
 def _det_map_laws(inst: FiniteGameInstance, team: int) -> tuple[list[tuple[int, ...]], np.ndarray]:

@@ -16,6 +16,7 @@ exchangeable is strictly weaker than conditionally iid.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -245,22 +246,31 @@ def is_exchangeable(p: TeamPolicy, tol: float = 1e-9, max_support: int = DEFAULT
 def _inverse_cdf(cum: np.ndarray, r) -> np.ndarray:
     """Index drawn by inverse CDF per uniform in r: how many running sums
     in cum (..., K) lie at or below it, capped at K - 1. The leading axes
-    of cum broadcast against those of r."""
-    return np.minimum((cum <= np.asarray(r)[..., None]).sum(axis=-1), cum.shape[-1] - 1)
+    of cum broadcast against those of r.
+
+    It compares r with the first K - 1 running sums only, one slice at a
+    time, which is the cap: running sums of nonnegative rows do not
+    decrease, so the count reaches K - 1 exactly where a count over all K
+    would reach K - 1 or K.
+    """
+    r = np.asarray(r)
+    zero = np.zeros(np.broadcast_shapes(cum.shape[:-1], r.shape), dtype=np.int64)
+    return functools.reduce(np.add, (cum[..., j] <= r for j in range(cum.shape[-1] - 1)), zero)
 
 
 def _profile_sampler(p: TeamPolicy, n_dms: int, n_obs: int, n_actions: int):
     """Sampler of the policy's deterministic profiles for n_dms seats with
     n_obs observations and n_actions actions.
 
-    Returns draw(rng), which realizes one profile as an (n_dms, n_obs)
-    array of seat maps. A mixture reads one uniform and picks a component
-    by inverse CDF over its weights in order, which is the randomness its
-    seats share. Behavioral rules read rng.random((n_dms, n_obs)), seat by
-    seat and observation by observation, and draw each action by inverse
-    CDF over its row. Realizing the whole map up front agrees in law with
-    acting at the one observation a seat gets. Raises ModelError when the
-    policy has another seat count or shape.
+    Returns (width, draw): draw(r) realizes one profile per row of
+    uniforms r (..., width) as seat maps (..., n_dms, n_obs). A mixture
+    reads one uniform and picks a component by inverse CDF over its
+    weights in order, which is the randomness its seats share. Behavioral
+    rules read n_dms * n_obs uniforms, seat by seat and observation by
+    observation, and draw each action by inverse CDF over its row.
+    Realizing the whole map up front agrees in law with acting at the one
+    observation a seat gets. Raises ModelError when the policy has
+    another seat count or shape.
     """
     if n_dms < 1:
         raise ModelError("team size must be >= 1")
@@ -273,12 +283,12 @@ def _profile_sampler(p: TeamPolicy, n_dms: int, n_obs: int, n_actions: int):
         maps = np.array(maps, dtype=np.int64).reshape(len(maps), n_dms, n_obs)
         maps.flags.writeable = False
         cum = np.cumsum(np.asarray([w for w, _ in p.components], dtype=np.float64))
-        return lambda rng: maps[int(_inverse_cdf(cum, rng.random()))]
+        return 1, lambda r: maps[_inverse_cdf(cum, r[..., 0])]
     rules = p.members if p.kind == "product" else (p.base,)
     if any(b.kernel.rows.shape != (n_obs, n_actions) for b in rules):
         raise ModelError("policy shape mismatch")
     cum = np.cumsum(np.stack([b.kernel.rows for b in rules]), axis=-1)  # (seats or 1, Y, U)
-    return lambda rng: _inverse_cdf(cum, rng.random((n_dms, n_obs)))
+    return n_dms * n_obs, lambda r: _inverse_cdf(cum, r.reshape(r.shape[:-1] + (n_dms, n_obs)))
 
 
 def sample_profile(p: TeamPolicy, n_dms: int, rng: np.random.Generator) -> list[DetPolicy]:
@@ -295,7 +305,8 @@ def sample_profile(p: TeamPolicy, n_dms: int, rng: np.random.Generator) -> list[
         n_obs, n_actions = len(maps[0]), 1 + max(max(a) for a in maps)
     else:
         n_obs, n_actions = (p.members[0] if p.kind == "product" else p.base).kernel.rows.shape
-    return [DetPolicy(row) for row in _profile_sampler(p, n_dms, n_obs, n_actions)(rng)]
+    width, draw = _profile_sampler(p, n_dms, n_obs, n_actions)
+    return [DetPolicy(row) for row in draw(rng.random(width))]
 
 
 def induced_seat_kernel(p: TeamPolicy, seat: int, n_actions: int, max_support: int = DEFAULT_SUPPORT_CAP) -> Kernel:

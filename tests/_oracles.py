@@ -648,6 +648,13 @@ def _pick(weights, r):
     return min(int(np.searchsorted(cum, r, side="right")), len(cum) - 1)
 
 
+def summed_inverse_cdf(cum, r):
+    """Index drawn by inverse CDF per uniform in r, all comparisons at once:
+    how many running sums in cum (..., K) lie at or below it, capped at
+    K - 1."""
+    return np.minimum((cum <= np.asarray(r)[..., None]).sum(axis=-1), cum.shape[-1] - 1)
+
+
 def _mean_ci(values):
     """Mean and 99 percent CI halfwidth, both sums exactly rounded."""
     n = len(values)

@@ -256,6 +256,16 @@ def test_simulation_chunks_change_nothing(monkeypatch, case):
             np.testing.assert_array_equal(np.stack(part.flows[i]), np.stack(whole.flows[i]))
 
 
+def test_simulation_builds_one_bit_generator_per_call(monkeypatch):
+    built = []
+    philox = np.random.Philox
+    monkeypatch.setattr(np.random, "Philox", lambda *a, **k: built.append(1) or philox(*a, **k))
+    spec = load_spec(CROWD)
+    pol = StagePolicy.from_rows([[[0.5, 0.5]], [[0.5, 0.5]]])
+    simulate_finite_n(spec, (4, 4), (pol, pol), 200, 5)
+    assert built == [1]
+
+
 def test_simulated_flows_match_propagated_flows_in_the_large_team_limit():
     spec = load_spec(CROWD)
     pol = StagePolicy.from_rows([[[0.5, 0.5]], [[0.5, 0.5]]])

@@ -346,6 +346,76 @@ def test_mc_cost_builds_no_seat_objects(monkeypatch):
     assert built == [1]
 
 
+@pytest.mark.parametrize("case", range(3))
+def test_mc_cost_chunks_change_nothing(monkeypatch, case):
+    import teamfield.finite_n as finite_n
+
+    rng = np.random.default_rng(4400 + case)
+    kinds = ("symmetric-iid", "product", "mixture", "symmetric-iid")[case : case + 2]
+    spec = random_static_spec(rng)
+    sizes = (5, 4)
+    inst = FiniteGameInstance(spec, sizes)
+    pols = [
+        random_team_policy(rng, t.observations.size, t.actions.size, n, k) for t, n, k in zip(spec.teams, sizes, kinds)
+    ]
+    whole = [mc_cost(inst, pols[0], pols[1], team, 103, 8) for team in (0, 1)]
+    samplers = [finite_n._team_sampler(inst, p, i) for i, p in enumerate(pols)]
+    per_episode = sum(finite_n._static_uniforms(inst, samplers))
+    assert 103 * per_episode <= finite_n.SIM_CHUNK_UNIFORMS  # the default run is one chunk
+    for uniforms in (3 * per_episode + 1, 5):  # 3 episodes per chunk, then 1
+        calls = []
+        run = finite_n._static_episodes
+        monkeypatch.setattr(finite_n, "SIM_CHUNK_UNIFORMS", uniforms)
+        monkeypatch.setattr(finite_n, "_static_episodes", lambda *a: calls.append(len(a[-1])) or run(*a))
+        part = [mc_cost(inst, pols[0], pols[1], team, 103, 8) for team in (0, 1)]
+        monkeypatch.setattr(finite_n, "_static_episodes", run)
+        assert calls == ([3] * 34 + [1] if uniforms > per_episode else [1] * 103) * 2
+        for team in (0, 1):
+            assert part[team] == whole[team] == episode_mc_cost(spec, sizes, pols[0], pols[1], team, 103, 8)
+
+
+def test_mc_cost_on_a_large_team_takes_several_chunks(monkeypatch):
+    import teamfield.finite_n as finite_n
+
+    calls = []
+    run = finite_n._static_episodes
+    monkeypatch.setattr(finite_n, "_static_episodes", lambda *a: calls.append(len(a[-1])) or run(*a))
+    half = TeamPolicy.symmetric_iid(BehavioralPolicy.from_rows([[0.5, 0.5]]))
+    mc_cost(FiniteGameInstance(load_spec(GAMES / "spread.json"), (400, 400)), half, half, 0, 400, 3)
+    assert len(calls) > 1 and sum(calls) == 400
+    assert max(calls) * (1 + 2 * 2 * 400) <= finite_n.SIM_CHUNK_UNIFORMS
+
+
+def test_episode_streams_match_fresh_philox_streams():
+    from teamfield.finite_n import _episode_streams
+
+    for seed in (0, 9, 2**64 + 5, -3):
+        stream = _episode_streams(seed)
+        for e in range(6):
+            g = stream(e)
+            fresh = np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, e], dtype=np.uint64)))
+            np.testing.assert_array_equal(g.random(2 * e + 1), fresh.random(2 * e + 1))
+            # the uint32 draw reads a pending half the previous episode left
+            # behind if the re-keying kept it
+            assert g.integers(0, 2**32, dtype=np.uint32) == fresh.integers(0, 2**32, dtype=np.uint32)
+            np.testing.assert_array_equal(g.random(3), fresh.random(3))
+            # every episode ends mid-buffer (an odd number of 64-bit words
+            # drawn); even ones also leave the pending 32-bit half of the
+            # uint32 draw above, odd ones use it up
+            if e % 2:
+                g.integers(0, 9, dtype=np.uint32)
+
+
+def test_mc_cost_builds_one_bit_generator_per_call(monkeypatch):
+    built = []
+    philox = np.random.Philox
+    monkeypatch.setattr(np.random, "Philox", lambda *a, **k: built.append(1) or philox(*a, **k))
+    half = TeamPolicy.symmetric_iid(BehavioralPolicy.from_rows([[0.5, 0.5]]))
+    inst = FiniteGameInstance(load_spec(GAMES / "spread.json"), (400, 400))
+    mc_cost(inst, half, half, 0, 400, 3)
+    assert built == [1]
+
+
 def test_exchangeable_br_restriction_costs_nothing():
     rng = np.random.default_rng(606)
     spec = load_spec(GAMES / "mf_mismatch.json")

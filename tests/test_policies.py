@@ -13,13 +13,14 @@ from teamfield.policies import (
     anticorrelated_pair,
     behavioral_to_mixture,
     induced_seat_kernel,
+    _inverse_cdf,
     is_exchangeable,
     permute_profile,
     sample_profile,
     symmetrize,
 )
 from tests._gen import random_behavioral, random_team_policy
-from tests._oracles import joint_action_law_rational, seat_sample_profile
+from tests._oracles import _pick, joint_action_law_rational, seat_sample_profile, summed_inverse_cdf
 
 
 def _unit_spec(n_obs: int, n_actions: int) -> StaticGameSpec:
@@ -166,6 +167,39 @@ def test_sample_profile_matches_the_seat_oracle(seed):
         for _ in range(20):
             assert [d.actions for d in sample_profile(p, n, a)] == seat_sample_profile(p, n, b)
         assert a.random() == b.random()  # both read the same number of uniforms
+
+
+def _check_inverse_cdf(weights, r):
+    cum = np.cumsum(weights, axis=-1)
+    got = _inverse_cdf(cum, r)
+    want = summed_inverse_cdf(cum, r)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+    w, u = np.broadcast_arrays(weights, np.asarray(r)[..., None])
+    picks = [_pick(row, float(x)) for row, x in zip(w.reshape(-1, w.shape[-1]), u.reshape(-1, u.shape[-1])[:, 0])]
+    np.testing.assert_array_equal(got, np.reshape(picks, got.shape))
+
+
+def test_inverse_cdf_matches_the_summed_and_searchsorted_oracles():
+    # one cell: every uniform picks it, in the broadcast shape of the leading axes
+    _check_inverse_cdf(np.ones((2, 1)), np.array([0.0, 0.5, 1.0]).reshape(3, 1, 1))
+    _check_inverse_cdf(np.ones(1), 0.3)
+    # a uniform equal to a running sum counts that sum
+    _check_inverse_cdf(np.array([0.25, 0.25, 0.5]), np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
+    # running sums that end below 1: a uniform at or above the last picks the last cell
+    short = np.array([0.3, 0.3, 0.3999999])
+    _check_inverse_cdf(short, np.array([np.cumsum(short)[-1], 0.99999995, 0.9999999999]))
+    # zero-probability cells are never picked, not even at their running sum
+    _check_inverse_cdf(np.array([[0.0, 1.0], [0.5, 0.0]]), np.array([[0.0], [0.5], [0.7]]))
+    _check_inverse_cdf(np.array([0.5, 0.0, 0.0, 0.5]), np.array([0.0, 0.49, 0.5, 0.51, 0.999]))
+    # leading axes broadcast on both sides
+    rng = np.random.default_rng(44)
+    for k in (1, 2, 3, 4):
+        weights = rng.random((2, 1, 3, k)) * (rng.random((2, 1, 3, k)) < 0.7)
+        weights /= np.maximum(weights.sum(axis=-1, keepdims=True), 1e-300)
+        r = rng.random((4, 1))
+        r[0, 0] = np.cumsum(weights, axis=-1)[0, 0, 0, 0]
+        _check_inverse_cdf(weights, r)
 
 
 def test_sample_profile_respects_mixture_support():
