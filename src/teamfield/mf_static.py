@@ -41,6 +41,8 @@ from .policies import BehavioralPolicy
 GRID_CANDIDATE_BUDGET = 10_000_000
 DEVIATION_KERNEL_BUDGET = 1_000_000
 GRID_BLOCK = 2**20  # grid candidates scored in one array pass
+TIE_SCREEN_SIZE = 4096  # most (weights, event) pairs the tie screen enumerates
+TIE_SCREEN_MARGIN = 1e-6  # above HiGHS's default primal feasibility tolerance, 1e-7
 
 
 @dataclass(frozen=True)
@@ -262,7 +264,7 @@ def solve_mf_fixed_point(spec: StaticGameSpec, cfg: Optional[SolverConfig] = Non
         lambda i, _rows, mf, tau: [_soft_response_rows(spec, i, mf, tau)],
         cfg,
     )
-    eq = _equilibrium(spec, [rows[0][0], rows[1][0]], mf, iterations)
+    (eq,) = _equilibria(spec, [rows[0][0][None], rows[1][0][None]], [l[None] for l in mf.laws], iterations)
     eq.converged = settled and max(eq.consistency_residual) < cfg.tol
     return eq
 
@@ -319,14 +321,56 @@ def _grid_verdicts(spec: StaticGameSpec, team: int, stats, target, resolution: f
     return tied | (tv.max(axis=-1) < resolution), tied, allowed
 
 
-def _tie_rule(spec: StaticGameSpec, team: int, allowed: np.ndarray, target: np.ndarray, resolution: float):
+def _tie_screen(n_world: int, n_u: int) -> Optional[np.ndarray]:
+    """The weak-duality screen's family of coefficients lam_w g[w, u], (K, W, U).
+
+    lam runs over simplex_grid(W, 2), weights on the world points, and g
+    over the events {0, 1}^(W x U). None when the family would hold more
+    than TIE_SCREEN_SIZE members.
+    """
+    lam = simplex_grid(n_world, 2)
+    cells = n_world * n_u
+    if len(lam) * 2**cells > TIE_SCREEN_SIZE:
+        return None
+    events = (np.arange(2**cells)[:, None] >> np.arange(cells)) & 1
+    return (lam[:, None, :, None] * events.reshape(1, -1, n_world, n_u)).reshape(-1, n_world, n_u)
+
+
+def _tie_bound(Q: np.ndarray, allowed: np.ndarray, target: np.ndarray, screen: np.ndarray) -> float:
+    """A lower bound on the tie LP's optimum min_b max_w TV((Q b)[w], target[w]).
+
+    For weights lam and events g, sum_w lam_w TV_w >= sum_w lam_w sum_u
+    g[w, u] ((Q b)[w, u] - target[w, u]) for every rule b, and the right
+    side's minimum over rules splits per observation into the cheapest
+    allowed action. The bound is the best member of the screen family.
+    """
+    per_obs = np.where(allowed, Q.T @ screen, np.inf).min(axis=-1).sum(axis=-1)
+    return float((per_obs - (screen * target).sum(axis=(-2, -1))).max())
+
+
+def _tie_rule(
+    spec: StaticGameSpec,
+    team: int,
+    allowed: np.ndarray,
+    target: np.ndarray,
+    resolution: float,
+    screen: Optional[np.ndarray],
+):
     """Rows mixing over the argmin sets `allowed` whose induced law is
     closest in total variation to `target`, or None if that distance is not
     strictly below the resolution. A small linear program.
+
+    When the screen family (from _tie_screen, or None for no screen)
+    already bounds the distance below by resolution + TIE_SCREEN_MARGIN,
+    the candidate is rejected without the linear program; every rule
+    returned still comes from HiGHS. The program is always feasible and
+    bounded, so a solver failure raises ModelError.
     """
     from scipy.optimize import linprog
 
     Q = spec.teams[team].obs_kernel
+    if screen is not None and _tie_bound(Q, allowed, target, screen) >= resolution + TIE_SCREEN_MARGIN:
+        return None
     n_y, n_u = allowed.shape
     # variables: b(y,u) over allowed actions, e(w,u) slack, t objective
     var_index = {(int(y), int(u)): j for j, (y, u) in enumerate(np.argwhere(allowed))}
@@ -365,7 +409,9 @@ def _tie_rule(spec: StaticGameSpec, team: int, allowed: np.ndarray, target: np.n
         bounds=[(0, None)] * nv,
         method="highs",
     )
-    if not res.success or not res.x[-1] < resolution:
+    if not res.success:
+        raise ModelError(f"tie linear program failed: {res.message}")
+    if not res.x[-1] < resolution:
         return None
     rows = np.zeros((n_y, n_u))
     for (y, u), j in var_index.items():
@@ -374,24 +420,32 @@ def _tie_rule(spec: StaticGameSpec, team: int, allowed: np.ndarray, target: np.n
     return rows
 
 
-def _equilibrium(spec, rules, mf, iterations: int) -> MFEquilibrium:
-    """Residuals of rules at the declared mean fields, reported as converged."""
-    policies = tuple(BehavioralPolicy(Kernel(r)) for r in rules)
-    induced = _profile_from_rows(spec, rules)
-    consistency = tuple(mf.team_tv(induced, i) for i in range(2))
-    br = []
-    for i in range(2):
-        cur = mf_cost(spec, i, policies[i], mf)
-        _, best = best_response_fixed_mf(spec, i, mf)
-        br.append(cur - best)
-    return MFEquilibrium(
-        policies=policies,
-        mean_fields=mf,
-        br_residual=(br[0], br[1]),
-        consistency_residual=consistency,
-        iterations=iterations,
-        converged=True,
-    )
+def _equilibria(spec, rules, laws, iterations: int) -> list[MFEquilibrium]:
+    """Residuals of stacked rules at stacked declared mean fields, reported as converged.
+
+    rules[i] is (n, Y_i, U_i) and laws[i] is (n, W, U_i); member k pairs
+    both teams' k-th rules with their k-th laws. The residuals come from
+    one array pass of the batched statistics, scores and expected costs,
+    which match a lone member bit for bit.
+    """
+    stats = _statistics(spec, laws)
+    consistency, br = [], []
+    for i, t in enumerate(spec.teams):
+        induced = t.obs_kernel @ rules[i]
+        consistency.append((0.5 * np.abs(laws[i] - induced).sum(axis=-1)).max(axis=-1))
+        cur = _expected_cost(spec, induced, _cost_matrix(spec, i, *stats))
+        br.append(cur - _score_matrix(spec, i, *stats).min(axis=-1).sum(axis=-1))
+    return [
+        MFEquilibrium(
+            policies=(BehavioralPolicy(Kernel(rules[0][k])), BehavioralPolicy(Kernel(rules[1][k]))),
+            mean_fields=MeanFieldProfile(laws=(laws[0][k], laws[1][k])),
+            br_residual=(float(br[0][k]), float(br[1][k])),
+            consistency_residual=(float(consistency[0][k]), float(consistency[1][k])),
+            iterations=iterations,
+            converged=True,
+        )
+        for k in range(len(rules[0]))
+    ]
 
 
 def grid_fixed_point_search(
@@ -411,6 +465,12 @@ def grid_fixed_point_search(
     small linear program finds it. Hits come in kernel_grid order of team
     0's laws, and of team 1's within each. Candidates are scored in array
     passes of up to GRID_BLOCK at a time.
+
+    Ties with the same team, argmin sets and target share one linear
+    program within a call, and a tie whose weak-duality bound already
+    reaches the resolution is rejected without one (see _tie_rule); the
+    hits are the same either way. The residuals of all hits come from one
+    batched pass.
     """
     if not 0.0 < resolution <= 0.5:
         raise ModelError("resolution must lie in (0, 0.5]")
@@ -422,8 +482,10 @@ def grid_fixed_point_search(
         raise BudgetError("grid candidates", total, max_candidates)
     laws = [kernel_grid(spec.n_world, t.actions.size, steps, total, "grid candidates") for t in spec.teams]
     stats = _statistics(spec, laws)
+    screens = [_tie_screen(spec.n_world, t.actions.size) for t in spec.teams]
+    ties = {}  # one tie LP per distinct (team, argmin sets, target) in this call
     block = max(1, GRID_BLOCK // len(laws[1]))
-    hits = []
+    found = []
     for start in range(0, len(laws[0]), block):
         cut = slice(start, start + block)
         verdicts = [
@@ -431,19 +493,26 @@ def grid_fixed_point_search(
             for i, target in enumerate((laws[0][cut, None], laws[1][None]))
         ]
         for a, b in np.argwhere(verdicts[0][0] & verdicts[1][0]):
-            candidate = MeanFieldProfile(laws=(laws[0][start + a], laws[1][b]))
+            pair = (start + a, b)
             rules = []
             for i, (_, tied, allowed) in enumerate(verdicts):
                 if tied[a, b]:
-                    rows = _tie_rule(spec, i, allowed[a, b], candidate.laws[i], resolution)
+                    target = laws[i][pair[i]]
+                    key = (i, allowed[a, b].tobytes(), target.tobytes())
+                    if key not in ties:
+                        ties[key] = _tie_rule(spec, i, allowed[a, b], target, resolution, screens[i])
+                    rows = ties[key]
                 else:
                     rows = allowed[a, b].astype(np.float64)
                 if rows is None:
                     break
                 rules.append(rows)
             else:
-                hits.append(_equilibrium(spec, rules, candidate, 0))
-    return hits
+                found.append((*pair, *rules))
+    if not found:
+        return []
+    at0, at1, rules0, rules1 = zip(*found)
+    return _equilibria(spec, [np.stack(rules0), np.stack(rules1)], [laws[0][list(at0)], laws[1][list(at1)]], 0)
 
 
 @dataclass

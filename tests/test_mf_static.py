@@ -228,6 +228,75 @@ def test_grid_search_rejects_a_negative_or_nonfinite_tie_tol():
             grid_fixed_point_search(spec, 0.1, tie_tol=tol)
 
 
+def _counting_linprog(monkeypatch):
+    """Wrap scipy's linprog; returns the list of results it gave, one per call."""
+    import scipy.optimize
+
+    real, results = scipy.optimize.linprog, []
+
+    def counted(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    return results
+
+
+def test_a_failed_tie_lp_is_an_error_not_a_lost_hit(monkeypatch, capsys):
+    import scipy.optimize
+
+    from teamfield import cli
+
+    failed = scipy.optimize.OptimizeResult(x=None, fun=None, success=False, status=4, message="numerical trouble")
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: failed)
+    with pytest.raises(ModelError, match="tie linear program failed: numerical trouble"):
+        grid_fixed_point_search(load_spec(COORDINATION), 0.5)
+    assert cli.main(["grid-search", "--spec", str(COORDINATION), "--resolution", "0.1"]) == 1
+    assert "tie linear program failed: numerical trouble" in capsys.readouterr().err
+
+
+def test_tie_screen_bounds_the_lp_optimum_from_below(monkeypatch):
+    results = _counting_linprog(monkeypatch)
+    rng = np.random.default_rng(17)
+    skipped = 0
+    for _ in range(40):
+        spec = random_static_spec(rng)
+        for team, t in enumerate(spec.teams):
+            n_y, n_u = t.observations.size, t.actions.size
+            allowed = rng.random((n_y, n_u)) < 0.6
+            allowed[np.arange(n_y), rng.integers(0, n_u, n_y)] = True
+            grid = mf_static.simplex_grid(n_u, int(rng.choice([2, 4, 10])))
+            target = grid[rng.integers(0, len(grid), spec.n_world)]
+            screen = mf_static._tie_screen(spec.n_world, n_u)
+            bound = mf_static._tie_bound(t.obs_kernel, allowed, target, screen)
+            mf_static._tie_rule(spec, team, allowed, target, 1.0, None)
+            optimum = results[-1].x[-1]
+            assert bound <= optimum + 1e-9
+            for resolution in (0.1, 0.25, 0.5):
+                if bound >= resolution + mf_static.TIE_SCREEN_MARGIN:
+                    skipped += 1
+                    assert optimum >= resolution
+                    calls = len(results)
+                    assert mf_static._tie_rule(spec, team, allowed, target, resolution, screen) is None
+                    assert len(results) == calls
+    assert skipped > 0
+
+
+def test_bench_like_ties_match_the_oracle_with_fewer_lps(monkeypatch):
+    spec = noisy_spec(1)
+    ref = grid_search_oracle(spec, 0.1)
+    verdicts = []
+    real = mf_static._grid_verdicts
+    monkeypatch.setattr(mf_static, "_grid_verdicts", lambda *args: verdicts.append(real(*args)) or verdicts[-1])
+    results = _counting_linprog(monkeypatch)
+    _assert_same_hits(grid_fixed_point_search(spec, 0.1), ref)
+    # at most the visited tied (candidate, team) pairs: every passing candidate
+    # visits team 0's tie, and team 1's at least where team 0 is untied
+    (pass0, tied0, _), (pass1, tied1, _) = verdicts
+    visited = int((pass0 & pass1 & (tied0 | tied1)).sum())
+    assert 0 < len(results) < visited
+
+
 def test_exploitability_matches_the_kernel_by_kernel_oracle():
     rng = np.random.default_rng(31)
     specs = [noisy_spec(3), tri_spec(3), load_spec(COORDINATION)] + [random_static_spec(rng, max_size=2) for _ in range(6)]
