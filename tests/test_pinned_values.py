@@ -6,11 +6,15 @@ thread pool and compensated (Kahan) sums; the merged code must reproduce
 them to 1e-12. The Monte Carlo sweep row on the 8-map game was recorded
 from the Monte Carlo path as it stood before the count-class exact engine,
 which left that path untouched. The dynamic Monte Carlo epsilon is pinned at the value of
-the shared seed scheme (base cost on seed + 17*i).
+the shared seed scheme (base cost on seed + 17*i). The seeded solver start
+rows and the iid action draw were recorded while each still built its own
+Philox generator.
 """
 
+import numpy as np
 import pytest
 
+from teamfield import cli
 from teamfield import (
     BehavioralPolicy,
     FiniteGameInstance,
@@ -21,6 +25,7 @@ from teamfield import (
     epsilon_sweep,
     load_spec,
     mc_cost,
+    sample_team_actions,
     simulate_finite_n,
     solve_dynamic_mf_fixed_point,
     solve_mf_fixed_point,
@@ -84,3 +89,29 @@ def test_solver_iterates_pinned(game, solve, iterations, br, consistency):
     assert eq.iterations == iterations
     assert eq.br_residual == pytest.approx((br, br), abs=TOL)
     assert eq.consistency_residual == pytest.approx((consistency, consistency), abs=TOL)
+
+
+@pytest.mark.parametrize(
+    "game, command, rows",
+    [
+        ("mf_mismatch", "solve-mf", [[[0.9210576658474618, 0.0789423341525381]], [[0.32423581193583, 0.67576418806417]]]),
+        (
+            "crowd_avoidance",
+            "solve-mf-dyn",
+            [
+                [[[0.9210576658474618, 0.0789423341525381]], [[0.32423581193583, 0.67576418806417]]],
+                [[[0.688284621639426, 0.31171537836057395]], [[0.06583198035340043, 0.9341680196465996]]],
+            ],
+        ),
+    ],
+)
+def test_seeded_solver_start_rows_pinned(game, command, rows):
+    path = GAMES / f"{game}.json"
+    args = cli._build_parser().parse_args([command, "--spec", str(path), "--seed", "3"])
+    start = cli._solver_cfg(args, load_spec(path)).init_rows
+    np.testing.assert_allclose(np.asarray(start, dtype=float), rows, rtol=0, atol=TOL)
+
+
+def test_sample_team_actions_pinned():
+    u = sample_team_actions(load_spec(GAMES / "spread.json"), 0, HALF, 16, 0, 7)
+    assert u.tolist() == [0, 1, 1, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0]
