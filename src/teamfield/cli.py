@@ -29,7 +29,7 @@ from .dynamic import (
     simulate_finite_n,
     solve_dynamic_mf_fixed_point,
 )
-from .finite_n import _philox, epsilon_sweep, size_pairs
+from .finite_n import _episode_streams, epsilon_sweep, size_pairs
 from .mf_static import (
     SolverConfig,
     grid_fixed_point_search,
@@ -177,19 +177,13 @@ def _check_resolution(r: float) -> float:
 def _solver_cfg(args, spec) -> SolverConfig:
     init_rows = None
     if args.seed is not None:
-        g = _philox(args.seed, 0)
+        g = _episode_streams(args.seed)(0)
+        static = isinstance(spec, StaticGameSpec)
         init_rows = []
-        if isinstance(spec, StaticGameSpec):
-            for t in spec.teams:
-                raw = g.random((t.observations.size, t.actions.size)) + 1e-3
-                init_rows.append(raw / raw.sum(axis=1, keepdims=True))
-        else:
-            for t in spec.teams:
-                stages = []
-                for _ in range(spec.horizon):
-                    raw = g.random((t.observations.size, t.actions.size)) + 1e-3
-                    stages.append(raw / raw.sum(axis=1, keepdims=True))
-                init_rows.append(stages)
+        for t in spec.teams:  # team by team, then stage by stage
+            raws = [g.random((t.observations.size, t.actions.size)) + 1e-3 for _ in range(1 if static else spec.horizon)]
+            stages = [raw / raw.sum(axis=1, keepdims=True) for raw in raws]
+            init_rows.append(stages[0] if static else stages)
         init_rows = tuple(init_rows)
     return SolverConfig(
         damping=args.damping,
@@ -347,14 +341,6 @@ def _cmd_simulate(args) -> int:
     pols = _dynamic_pair(args, spec)
     sizes = _sizes(args.n)
     rep = simulate_finite_n(spec, sizes, pols, args.reps, args.seed)
-    flows_doc = []
-    for team in rep.flows:
-        flows_doc.append(
-            [
-                [[[float(x) for x in row] for row in stage[w]] for w in range(stage.shape[0])]
-                for stage in team
-            ]
-        )
     doc = {
         "schema": tfio.SCHEMA,
         "kind": "simulation-report",
@@ -364,7 +350,7 @@ def _cmd_simulate(args) -> int:
         "costs": [float(v) for v in rep.costs],
         "ci_halfwidth": [float(v) for v in rep.ci_halfwidth],
         "world_counts": [int(v) for v in rep.world_counts],
-        "flows": flows_doc,
+        "flows": tfio.flows_doc(rep.flows),
     }
     summary = f"simulate: costs=({rep.costs[0]:.6g},{rep.costs[1]:.6g}) reps={args.reps}"
     _emit(doc, args.out, summary)

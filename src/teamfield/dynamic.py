@@ -48,6 +48,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .core.counts import arrangements, compositions, n_compositions
 from .core.errors import BudgetError, ModelError
 from .core.spaces import Kernel, tv_distance, _freeze
 from .core.specs import DynamicGameSpec
@@ -548,15 +549,9 @@ def _outcomes(k: int, mask: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Every split of k seats over the cells set in `mask`, as counts over
     `width` cells, with the multinomial coefficients k! / prod(a!)."""
     live = [c for c in range(width) if mask >> c & 1] or [0]
-    counts, coef = [], []
-    for bars in itertools.combinations(range(k + len(live) - 1), len(live) - 1):
-        edges = (-1,) + bars + (k + len(live) - 1,)
-        row = [0] * width
-        for c, lo, hi in zip(live, edges, edges[1:]):
-            row[c] = hi - lo - 1
-        counts.append(row)
-        coef.append(math.factorial(k) / math.prod(math.factorial(a) for a in row))
-    out = (np.array(counts, dtype=np.int64), np.array(coef))
+    counts = np.zeros((n_compositions(k, len(live)), width), dtype=np.int64)
+    counts[:, live] = compositions(k, len(live))
+    out = (counts, np.array([float(arrangements(row)) for row in counts.tolist()]))
     for arr in out:
         arr.flags.writeable = False
     return out
@@ -784,11 +779,6 @@ def _team_classes(spec: DynamicGameSpec, team: int, pols: Sequence[StagePolicy])
     return [(team, k, law[None]) for law, k in groups.values()]
 
 
-def _rows(k: int, cells: int) -> int:
-    """Count vectors of k seats over `cells` cells."""
-    return math.comb(k + cells - 1, k)
-
-
 def _moves_branch(spec: DynamicGameSpec, team: int) -> bool:
     """Whether a seat of the team can move to more than one next state:
     a transition row with several next states, or one that reads the
@@ -801,9 +791,9 @@ def _class_rows(spec: DynamicGameSpec, team: int, k: int, cells: int, t: int) ->
     """Chain rows one class of k seats with `cells` live (state, action)
     cells multiplies in at stage t: its count vectors over those cells,
     times its next-state count vectors when its moves branch."""
-    rows = _rows(k, cells)
+    rows = n_compositions(k, cells)
     if t + 1 < spec.horizon and _moves_branch(spec, team):
-        rows *= _rows(k, spec.teams[team].states.size)
+        rows *= n_compositions(k, spec.teams[team].states.size)
     return rows
 
 
@@ -869,7 +859,7 @@ def _exact_work(spec: DynamicGameSpec, sizes, base, candidate_budget: int) -> li
     for i, ti in enumerate(spec.teams):
         n = sizes[i]
         n_maps = ti.actions.size**ti.observations.size
-        multisets = math.comb(n + n_maps**spec.horizon - 1, n)
+        multisets = n_compositions(n, n_maps**spec.horizon)
         rows.append((f"team {i} deviation multisets", multisets, candidate_budget))
         if multisets > candidate_budget:
             continue

@@ -33,6 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core.costs import _scalar_views
+from .core.counts import compositions, n_compositions
 from .core.errors import BudgetError, ModelError
 from .core.spaces import Kernel
 from .core.specs import StaticGameSpec
@@ -47,17 +48,13 @@ CI_SCALE = 2.58  # normal two-sided 99 percent
 SIM_CHUNK_UNIFORMS = 1 << 16  # uniforms per chunk of Monte Carlo episodes
 
 
-def _philox(seed: int, episode: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, episode], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def _episode_streams(seed: int):
     """The (seed, episode) streams of one Monte Carlo call from one generator.
 
     Returns stream(e), which re-keys the call's Philox generator to
     (seed, e) with counter 0, an empty buffer and no pending 32-bit half,
-    the state _philox(seed, e) starts in, and returns it. A counter-based
+    the state a Philox generator newly keyed (seed, e) starts in, and
+    returns it. Seeded draws outside Monte Carlo read stream(0). A counter-based
     stream is keyed, not seeded, so this gives the same draws without
     building a bit generator, and numpy's entropy draw, per episode. The
     previous episode's generator is reset, so draw from one at a time.
@@ -110,9 +107,9 @@ class FiniteGameInstance:
         n_w = self.spec.n_world
         classes, grids, multisets = [], [], []
         for t, n in zip(self.spec.teams, self.team_sizes):
-            classes.append(math.comb(n + t.actions.size - 1, n))
+            classes.append(n_compositions(n, t.actions.size))
             grids.append((n + 1) ** (t.actions.size - 1))
-            multisets.append(math.comb(n + t.actions.size**t.observations.size - 1, n))
+            multisets.append(n_compositions(n, t.actions.size**t.observations.size))
         rows = [("exact cost matrix entries", n_w * max(classes[0] * classes[1], *grids), EXACT_ENUMERATION_BUDGET)]
         return rows + [(f"team {i} best-response work", multisets[i] * grids[i] * n_w, BR_CANDIDATE_BUDGET) for i in range(2)]
 
@@ -124,13 +121,11 @@ class FiniteGameInstance:
                 raise BudgetError(what, required, budget)
 
     def count_classes(self, team: int) -> tuple[np.ndarray, np.ndarray]:
-        """The team's count vectors, shape (C, U), and their flat positions on the count grid."""
+        """The team's count vectors (C, U) and their flat grid positions, the first U-1 counts read base N+1."""
         if team not in self._classes:
             n = self.team_sizes[team]
-            k = self.spec.teams[team].actions.size - 1
-            grid = np.indices((n + 1,) * k).reshape(k, -1).T if k else np.zeros((1, 0), dtype=np.int64)
-            pos = np.flatnonzero(grid.sum(axis=1) <= n)
-            counts = np.column_stack([grid[pos], n - grid[pos].sum(axis=1)])
+            counts = compositions(n, self.spec.teams[team].actions.size)
+            pos = counts[:, :-1] @ (n + 1) ** np.arange(counts.shape[1] - 2, -1, -1)
             self._classes[team] = (counts, pos)
         return self._classes[team]
 
@@ -546,7 +541,7 @@ def sample_team_actions(
 ) -> np.ndarray:
     """Actions of n iid seats at a fixed world point, for law-of-large-number checks."""
     seed = _seed_of(rng)
-    g = _philox(seed, 0)
+    g = _episode_streams(seed)(0)
     t = spec.teams[team]
     y = _inverse_cdf(np.cumsum(t.obs_kernel[omega0]), g.random(n))
     return _inverse_cdf(np.cumsum(b.kernel.rows, axis=1)[y], g.random(n))

@@ -242,10 +242,12 @@ def mf_equilibrium_doc(eq: MFEquilibrium) -> dict:
     }
 
 
+def flows_doc(flows) -> list:
+    """Per-team joint flows as nested lists: team, stage, world point, state, action."""
+    return [[[_rows_list(joint) for joint in stage] for stage in team] for team in flows]
+
+
 def dynamic_equilibrium_doc(eq: DynamicMFEquilibrium) -> dict:
-    flows = []
-    for team in eq.flows.joints:
-        flows.append([[_rows_list(stage[w]) for w in range(stage.shape[0])] for stage in team])
     return {
         "schema": SCHEMA,
         "kind": "dynamic-mf-equilibrium",
@@ -254,7 +256,7 @@ def dynamic_equilibrium_doc(eq: DynamicMFEquilibrium) -> dict:
         "br_exhaustive": bool(eq.br_exhaustive),
         "br_residual": [float(v) for v in eq.br_residual],
         "consistency_residual": [float(v) for v in eq.consistency_residual],
-        "flows": flows,
+        "flows": flows_doc(eq.flows.joints),
         "policies": [stage_policy_to_dict(p) for p in eq.policies],
     }
 

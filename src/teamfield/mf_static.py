@@ -26,13 +26,13 @@ batch agrees with its members bit for bit.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from .core.counts import compositions, n_compositions
 from .core.errors import BudgetError, ModelError
 from .core.spaces import Kernel, ProbVec, tv_distance, _freeze
 from .core.specs import StaticGameSpec
@@ -275,17 +275,8 @@ def _profile_from_rows(spec: StaticGameSpec, rows) -> MeanFieldProfile:
 
 
 def simplex_grid(n_points: int, steps: int) -> np.ndarray:
-    """All measures on n_points atoms with coordinates j/steps."""
-    out = []
-    for cuts in itertools.combinations(range(steps + n_points - 1), n_points - 1):
-        prev = -1
-        parts = []
-        for c in cuts:
-            parts.append(c - prev - 1)
-            prev = c
-        parts.append(steps + n_points - 2 - prev)
-        out.append(parts)
-    return np.asarray(out, dtype=np.float64) / steps
+    """All measures on n_points atoms with coordinates j/steps, lexicographic in the counts j."""
+    return compositions(steps, n_points) / steps
 
 
 def kernel_grid(n_rows: int, n_actions: int, steps: int, budget: int, what: str) -> np.ndarray:
@@ -295,7 +286,7 @@ def kernel_grid(n_rows: int, n_actions: int, steps: int, budget: int, what: str)
     varying fastest. Their count is checked against the budget before
     anything is built.
     """
-    count = math.comb(steps + n_actions - 1, steps) ** n_rows
+    count = n_compositions(steps, n_actions) ** n_rows
     if count > budget:
         raise BudgetError(what, count, budget)
     grid = simplex_grid(n_actions, steps)
@@ -477,7 +468,7 @@ def grid_fixed_point_search(
     if not (math.isfinite(tie_tol) and tie_tol >= 0.0):
         raise ModelError("tie_tol must be finite and >= 0")
     steps = round(1.0 / resolution)
-    total = math.prod(math.comb(steps + t.actions.size - 1, steps) ** spec.n_world for t in spec.teams)
+    total = math.prod(n_compositions(steps, t.actions.size) ** spec.n_world for t in spec.teams)
     if total > max_candidates:
         raise BudgetError("grid candidates", total, max_candidates)
     laws = [kernel_grid(spec.n_world, t.actions.size, steps, total, "grid candidates") for t in spec.teams]

@@ -7,8 +7,9 @@ A team of N decision makers can play
   * a finite mixture over joint deterministic profiles ("mixture"),
     which is how common randomness is represented.
 
-Mixtures are the closure that symmetrization lives in: averaging a profile
-over all seat permutations produces an exchangeable mixture with the same
+Mixtures are the closure that symmetrization lives in: spreading each
+multiset of seat maps' weight evenly over its n!/prod(c!) seat orders
+(Diaconis & Freedman 1980) gives an exchangeable mixture with the same
 team cost against any exchangeable opponent. The anticorrelated two-seat
 mixture built by ``anticorrelated_pair`` is the standard witness that
 exchangeable is strictly weaker than conditionally iid.
@@ -16,6 +17,7 @@ exchangeable is strictly weaker than conditionally iid.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -24,18 +26,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .core.counts import arrangements
 from .core.errors import BudgetError, ModelError
 from .core.spaces import Kernel
 
 DEFAULT_SUPPORT_CAP = 4096
-MAX_PERMUTATION_DMS = 6
-
-ProfileKey = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class DetPolicy:
-    """Deterministic map from observation index to action index."""
+    """Deterministic map from observation index to action index, ordered by its actions."""
 
     actions: tuple[int, ...]
 
@@ -148,36 +148,26 @@ def behavioral_to_mixture(b: BehavioralPolicy, n_dms: int, max_support: int = DE
     """Expand an iid behavioral team into an equivalent deterministic mixture."""
     if n_dms < 1:
         raise ModelError("team size must be >= 1")
-    per_dm = _det_maps_of(b)
-    size = len(per_dm) ** n_dms
-    if size > max_support:
-        raise BudgetError("mixture support", size, max_support)
-    comps = []
-    for picks in itertools.product(per_dm, repeat=n_dms):
-        w = math.prod(p[0] for p in picks)
-        comps.append((w, tuple(p[1] for p in picks)))
-    return TeamPolicy.mixture(comps)
+    law = _as_profile_law(TeamPolicy.product([b] * n_dms), max_support)
+    return TeamPolicy.mixture([(w, profile) for profile, w in law.items()])
 
 
 def _as_profile_law(p: TeamPolicy, max_support: int) -> dict[tuple[DetPolicy, ...], float]:
     """Joint law over deterministic profiles, merging duplicate support points."""
     if p.kind == "mixture":
-        law: dict[tuple[DetPolicy, ...], float] = {}
-        for w, profile in p.components:
-            law[profile] = law.get(profile, 0.0) + w
-        return law
-    if p.kind == "product":
+        pairs = p.components
+    elif p.kind == "product":
         per_dm = [_det_maps_of(m) for m in p.members]
         size = math.prod(len(d) for d in per_dm)
         if size > max_support:
             raise BudgetError("mixture support", size, max_support)
-        law = {}
-        for picks in itertools.product(*per_dm):
-            w = math.prod(pk[0] for pk in picks)
-            profile = tuple(pk[1] for pk in picks)
-            law[profile] = law.get(profile, 0.0) + w
-        return law
-    raise ModelError("symmetric-iid policies have no finite profile law without a team size")
+        pairs = ((math.prod(pk[0] for pk in picks), tuple(pk[1] for pk in picks)) for picks in itertools.product(*per_dm))
+    else:
+        raise ModelError("symmetric-iid policies have no finite profile law without a team size")
+    law: dict[tuple[DetPolicy, ...], float] = {}
+    for w, profile in pairs:
+        law[profile] = law.get(profile, 0.0) + w
+    return law
 
 
 def permute_profile(p: TeamPolicy, sigma: Sequence[int]) -> TeamPolicy:
@@ -194,53 +184,64 @@ def permute_profile(p: TeamPolicy, sigma: Sequence[int]) -> TeamPolicy:
     return TeamPolicy.mixture(comps)
 
 
-def symmetrize(p: TeamPolicy, max_support: int = DEFAULT_SUPPORT_CAP) -> TeamPolicy:
-    """Average a team policy over all seat permutations.
+def _multisets(law: dict[tuple[DetPolicy, ...], float]) -> list[tuple[dict[DetPolicy, int], int, list[float]]]:
+    """Per multiset of seat maps in the profile law: its seats per map in map
+    order, its number of seat orders, and the weights of the orders the law carries."""
+    groups: dict[tuple[tuple[DetPolicy, int], ...], list[float]] = {}
+    for profile, w in law.items():
+        groups.setdefault(tuple(sorted(collections.Counter(profile).items())), []).append(w)
+    return [(dict(key), arrangements(c for _, c in key), weights) for key, weights in groups.items()]
 
-    The result is an exchangeable mixture that costs the same as p against
-    any exchangeable opponent, which is the reduction that lets the team
-    optimum be searched over exchangeable policies only. Symmetric-iid
-    input is already exchangeable and passes through unchanged.
+
+def _orders(seats: dict[DetPolicy, int]):
+    """Each distinct seat order of a multiset given as map -> seats."""
+    if not any(seats.values()):
+        yield ()
+    for d, c in seats.items():
+        if c:
+            seats[d] -= 1
+            yield from ((d,) + rest for rest in _orders(seats))
+            seats[d] += 1
+
+
+def symmetrize(p: TeamPolicy, max_support: int = DEFAULT_SUPPORT_CAP) -> TeamPolicy:
+    """Average a team policy over all seat permutations: each multiset's
+    weight spread evenly over its seat orders, components sorted.
+
+    The result costs the same as p against any exchangeable opponent, so
+    the team optimum can be searched over exchangeable policies only. Its
+    support is checked against max_support before any order is built.
     """
     if p.kind == "symmetric-iid":
         return p
-    n = p.n_dms
-    if n > MAX_PERMUTATION_DMS:
-        raise BudgetError("permutation enumeration", math.factorial(n), math.factorial(MAX_PERMUTATION_DMS))
-    law = _as_profile_law(p, max_support)
-    out: dict[tuple[DetPolicy, ...], float] = {}
-    scale = 1.0 / math.factorial(n)
-    for sigma in itertools.permutations(range(n)):
-        for profile, w in law.items():
-            moved = tuple(profile[j] for j in sigma)
-            out[moved] = out.get(moved, 0.0) + w * scale
-    if len(out) > max_support:
-        raise BudgetError("mixture support", len(out), max_support)
-    key = lambda item: tuple(d.actions for d in item[0])
-    comps = sorted(out.items(), key=key)
-    total = sum(w for _, w in comps)
-    comps = [(w / total, profile) for profile, w in comps]
-    return TeamPolicy.mixture(comps)
+    groups = _multisets(_as_profile_law(p, max_support))
+    support = sum(n for _, n, _ in groups)
+    if support > max_support:
+        raise BudgetError("mixture support", support, max_support)
+    comps = []
+    for seats, n, ws in groups:
+        share = sum(ws) / n
+        comps += [(share, order) for order in _orders(seats)]
+    comps.sort(key=lambda c: c[1])
+    total = sum(w for w, _ in comps)
+    return TeamPolicy.mixture([(w / total, profile) for w, profile in comps])
 
 
 def is_exchangeable(p: TeamPolicy, tol: float = 1e-9, max_support: int = DEFAULT_SUPPORT_CAP) -> bool:
-    """Whether the profile law is invariant under every seat permutation."""
+    """Whether the profile law lies within total variation tol of symmetrize(p).
+
+    Each of a multiset's n seat orders gets W/n there, so the distance sums
+    |w - W/n| over the orders the law carries and W/n over the rest. It lies
+    between half and all of the largest distance from the law to a seat
+    permutation of it, and is 0 exactly when that one is.
+    """
     if p.kind == "symmetric-iid":
         return True
-    n = p.n_dms
-    if n > MAX_PERMUTATION_DMS:
-        raise BudgetError("permutation enumeration", math.factorial(n), math.factorial(MAX_PERMUTATION_DMS))
-    law = _as_profile_law(p, max_support)
-    for sigma in itertools.permutations(range(n)):
-        moved: dict[tuple[DetPolicy, ...], float] = {}
-        for profile, w in law.items():
-            k = tuple(profile[j] for j in sigma)
-            moved[k] = moved.get(k, 0.0) + w
-        support = set(law) | set(moved)
-        tv = 0.5 * sum(abs(law.get(k, 0.0) - moved.get(k, 0.0)) for k in support)
-        if tv > tol:
-            return False
-    return True
+    tv = 0.0
+    for _, n, ws in _multisets(_as_profile_law(p, max_support)):
+        share = sum(ws) / n
+        tv += sum(abs(w - share) for w in ws) + (n - len(ws)) * share
+    return 0.5 * tv <= tol
 
 
 def _inverse_cdf(cum: np.ndarray, r) -> np.ndarray:

@@ -5,10 +5,12 @@ over joint profiles with exact rational probabilities, seat-by-seat
 enumeration of joint action profiles and joint deterministic deviations,
 statically and over a finite horizon, plain loops for chain propagation
 and frozen-flow best responses, a candidate-by-candidate mean-field
-grid search on scalar cost evaluations, and Monte Carlo episodes one at
-a time with a seat-by-seat profile sampler. None of it shares code with
-the package's count-class, count-chain, batched cost and batched
-sampling paths, which is the point.
+grid search on scalar cost evaluations, Monte Carlo episodes one at
+a time with a seat-by-seat profile sampler, stars-and-bars count vectors,
+and symmetrization and exchangeability by looping over all n! seat
+permutations. None of it shares code with the package's count-class,
+count-chain, multiset, batched cost and batched sampling paths, which is
+the point.
 """
 
 from __future__ import annotations
@@ -220,6 +222,62 @@ def check_exchangeable_br_value(inst, opponent, team):
         orbit_sum += values[digits[:, list(sigma)] @ weights]
     v_exch = float(orbit_sum.min() / len(perms))
     return v_all, v_exch
+
+
+def stars_and_bars(k, m):
+    """Count vectors of k seats over m cells, from the sorted k-tuples of
+    cells. Those run in the reverse of the count vectors' lexicographic
+    order (first cell slowest), so the list is reversed."""
+    rows = [[combo.count(c) for c in range(m)] for combo in itertools.combinations_with_replacement(range(m), k)]
+    return rows[::-1]
+
+
+def _permuted_laws(p):
+    """The profile law and its reindexing by every seat permutation."""
+    from teamfield.policies import _as_profile_law
+
+    law = _as_profile_law(p, max_support=1 << 30)
+    for sigma in itertools.permutations(range(p.n_dms)):
+        moved = defaultdict(float)
+        for profile, w in law.items():
+            moved[tuple(profile[j] for j in sigma)] += w
+        yield law, moved
+
+
+def permutation_symmetrize(p, max_support=4096):
+    """Average of the policy over all n! seat permutations, components
+    sorted by their seat maps, weights renormalized."""
+    from teamfield.core.errors import BudgetError
+    from teamfield.policies import TeamPolicy
+
+    if p.kind == "symmetric-iid":
+        return p
+    out = defaultdict(float)
+    scale = 1.0 / math.factorial(p.n_dms)
+    for _, moved in _permuted_laws(p):
+        for profile, w in moved.items():
+            out[profile] += w * scale
+    if len(out) > max_support:
+        raise BudgetError("mixture support", len(out), max_support)
+    comps = sorted(out.items(), key=lambda item: tuple(d.actions for d in item[0]))
+    total = sum(w for _, w in comps)
+    return TeamPolicy.mixture([(w / total, profile) for profile, w in comps])
+
+
+def max_permutation_tv(p):
+    """Largest total variation between the profile law and a seat permutation of it."""
+    if p.kind == "symmetric-iid":
+        return 0.0
+    worst = 0.0
+    for law, moved in _permuted_laws(p):
+        support = set(law) | set(moved)
+        worst = max(worst, 0.5 * sum(abs(law.get(k, 0.0) - moved.get(k, 0.0)) for k in support))
+    return worst
+
+
+def permutation_is_exchangeable(p, tol=1e-9):
+    """Whether no seat permutation moves the profile law by more than tol."""
+    return max_permutation_tv(p) <= tol
 
 
 def oracle_chain_cost(init, action_given_state, stage_cost, next_rows, horizon):

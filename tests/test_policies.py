@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +21,15 @@ from teamfield.policies import (
     symmetrize,
 )
 from tests._gen import random_behavioral, random_team_policy
-from tests._oracles import _pick, joint_action_law_rational, seat_sample_profile, summed_inverse_cdf
+from tests._oracles import (
+    _pick,
+    joint_action_law_rational,
+    max_permutation_tv,
+    permutation_is_exchangeable,
+    permutation_symmetrize,
+    seat_sample_profile,
+    summed_inverse_cdf,
+)
 
 
 def _unit_spec(n_obs: int, n_actions: int) -> StaticGameSpec:
@@ -239,3 +248,75 @@ def test_exchangeability_invariant_under_all_permutations():
             permuted = _law(permute_profile(s, sigma), 3, n_obs=1, n_actions=2)
             for key in set(base) | set(permuted):
                 assert abs(float(base.get(key, 0) - permuted.get(key, 0))) < 1e-12
+
+
+def _random_small_policy(rng):
+    """A random mixture or product policy on at most 6 seats whose
+    symmetrization has few enough seat orders, times n!, for the
+    permutation oracle to stay quick."""
+    while True:
+        n = int(rng.integers(1, 7))
+        n_obs, n_act = int(rng.integers(1, 3)), int(rng.integers(2, 4))
+        kind = "mixture" if (n_act**n_obs) ** n > 64 else ("mixture", "product")[int(rng.integers(0, 2))]
+        p = random_team_policy(rng, n_obs, n_act, n, kind=kind)
+        if len(symmetrize(p).components) * math.factorial(n) <= 20_000:
+            return p
+
+
+def test_symmetrize_matches_the_permutation_oracle():
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        p = _random_small_policy(rng)
+        got, want = symmetrize(p), permutation_symmetrize(p)
+        assert [prof for _, prof in got.components] == [prof for _, prof in want.components]
+        np.testing.assert_allclose([w for w, _ in got.components], [w for w, _ in want.components], rtol=0, atol=1e-12)
+
+
+def test_is_exchangeable_matches_the_permutation_oracle():
+    rng = np.random.default_rng(29)
+    for _ in range(100):
+        p = _random_small_policy(rng)
+        for q in (p, symmetrize(p)):
+            assert is_exchangeable(q) == permutation_is_exchangeable(q)
+
+
+def test_symmetry_gap_lies_within_a_factor_two_of_the_permutation_distance():
+    # d_sym <= max_sigma TV(law, law o sigma) <= 2 d_sym
+    rng = np.random.default_rng(31)
+    seen = 0
+    for _ in range(100):
+        p = _random_small_policy(rng)
+        worst = max_permutation_tv(p)
+        if worst < 1e-6:
+            continue
+        seen += 1
+        assert is_exchangeable(p, tol=worst * (1 + 1e-9))
+        assert not is_exchangeable(p, tol=0.5 * worst * (1 - 1e-9))
+    assert seen > 50
+
+
+def test_symmetrize_and_is_exchangeable_at_twelve_seats():
+    d0, d1 = DetPolicy((0,)), DetPolicy((1,))
+    p = TeamPolicy.mixture([(0.25, (d0,) * 6 + (d1,) * 6), (0.75, (d1,) * 3 + (d0,) * 9)])
+    s = symmetrize(p)
+    assert not is_exchangeable(p)
+    assert is_exchangeable(s)
+    assert len(s.components) == math.comb(12, 6) + math.comb(12, 3)
+    weights = {}
+    for w, profile in s.components:
+        weights.setdefault(sum(d is d1 or d == d1 for d in profile), set()).add(w)
+    assert set(weights) == {6, 3}
+    assert max(weights[6]) == pytest.approx(0.25 / math.comb(12, 6), rel=1e-12)
+    assert max(weights[3]) == pytest.approx(0.75 / math.comb(12, 3), rel=1e-12)
+    assert max(weights[6]) - min(weights[6]) < 1e-18 and max(weights[3]) - min(weights[3]) < 1e-18
+
+
+def test_symmetrize_checks_its_support_before_building_orders(monkeypatch):
+    from teamfield import policies
+
+    maps = [DetPolicy(tuple((j >> y) & 1 for y in range(4))) for j in range(12)]
+    p = TeamPolicy.mixture([(1.0, tuple(maps))])
+    monkeypatch.setattr(policies, "_orders", lambda seats: pytest.fail("built a seat order"))
+    with pytest.raises(BudgetError) as err:
+        symmetrize(p)
+    assert (err.value.what, err.value.required, err.value.budget) == ("mixture support", 479001600, 4096)
