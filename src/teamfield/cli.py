@@ -309,20 +309,7 @@ def _cmd_sweep_n(args) -> int:
     if args.format == "csv":
         _emit_csv(rows, args.out, summary)
         return 0
-    doc = {
-        "schema": tfio.SCHEMA,
-        "kind": "epsilon-sweep",
-        "rows": [
-            {
-                "n1": r.n1,
-                "n2": r.n2,
-                "eps": [float(v) for v in r.eps],
-                "method": r.method,
-                "ci_halfwidth": float(r.ci_halfwidth),
-            }
-            for r in rows
-        ],
-    }
+    doc = {"schema": tfio.SCHEMA, "kind": "epsilon-sweep", "rows": [tfio.epsilon_row(r, (r.n1, r.n2)) for r in rows]}
     _emit(doc, args.out, summary)
     return 0
 

@@ -1,11 +1,12 @@
 """Cost and transition families.
 
 Costs take the world point, one decision maker's action, and the statistic
-values of both teams' measures. Families that only depend on a scalar view
-of the statistics (everything built in here) also expose a vectorized
-``value_batch`` over arrays of scalar statistics, which the mean-field
-costs and the finite-team cost matrices are built from; for an identity
-statistic the scalar view is the index mean of the measure, which
+values of both teams' measures. Static families depend only on a scalar
+view of the statistics and are evaluated a table at a time: ``table``
+takes arrays of scalar statistics and returns every action's cost on a
+trailing action axis, which the mean-field costs, the finite-team cost
+tensors, the Monte Carlo episodes and the validator all read. For an
+identity statistic the scalar view is the index mean of the measure, which
 coincides with the mean-embedding value under the embedding
 (0, 1, ..., n-1).
 
@@ -14,8 +15,8 @@ takes statistics with leading key axes (one key per row of statistics)
 and returns the stage costs over every (state, action), or the rows of
 the controlled kernel over every (state, action, next state). A
 transition may read the same statistics, which is how the mean-field
-coupling enters the dynamics. The scalar ``value`` and ``rows_at`` read
-one entry of a table.
+coupling enters the dynamics. The scalar ``value`` and ``rows_at`` of
+every family read one entry of a table.
 """
 
 from __future__ import annotations
@@ -64,21 +65,40 @@ def _scalar_views(s, n_keys: int) -> np.ndarray:
     return (w[..., None, :] @ np.arange(w.shape[-1], dtype=np.float64)[:, None])[..., 0, 0]
 
 
+def _actions_last(a: np.ndarray) -> np.ndarray:
+    """A view of a with its leading action axis moved last. Tables are built
+    action-major, so elementwise work on them runs along the statistics."""
+    return a.transpose(tuple(range(1, a.ndim)) + (0,))
+
+
+def _action_gaps(s, n_actions: int) -> np.ndarray:
+    """u - s for every action u, on a trailing action axis."""
+    s = np.asarray(s, dtype=float)
+    return _actions_last(np.arange(n_actions).reshape((-1,) + (1,) * s.ndim) - s)
+
+
 class _StaticCost:
     """Base for static cost families."""
 
     name = ""
-    scalar_reducible = True
 
     def __init__(self, team: int, params: dict):
         self.team = int(team)
         self.params = dict(params)
 
     def value(self, omega0: int, u: int, s1, s2) -> float:
-        return float(self.value_batch(omega0, u, scalar_view(s1), scalar_view(s2)))
+        return float(self.table(omega0, scalar_view(s1), scalar_view(s2), u + 1)[u])
 
-    def value_batch(self, omega0: int, u: int, s1, s2):
+    def table(self, omega0: int, s1, s2, n_actions: int) -> np.ndarray:
+        """Costs of shape (..., n_actions) of the first n_actions actions at
+        world point omega0, at scalar statistics s1, s2 broadcast to (...)."""
         raise NotImplementedError
+
+    def _own(self, s1, s2):
+        return s1 if self.team == 0 else s2
+
+    def _opponent(self, s1, s2):
+        return s2 if self.team == 0 else s1
 
     def to_dict(self) -> dict:
         return {"family": self.name, "params": dict(self.params)}
@@ -91,8 +111,8 @@ class ConstantCost(_StaticCost):
         super().__init__(team, params)
         self.c = float(params.get("value", 0.0))
 
-    def value_batch(self, omega0, u, s1, s2):
-        return np.broadcast_arrays(np.asarray(s1, dtype=float), np.asarray(s2, dtype=float))[0] * 0.0 + self.c
+    def table(self, omega0, s1, s2, n_actions):
+        return np.full(np.broadcast_shapes(np.shape(s1), np.shape(s2)) + (n_actions,), self.c)
 
 
 class TrackOpponentMean(_StaticCost):
@@ -100,9 +120,8 @@ class TrackOpponentMean(_StaticCost):
 
     name = "track-opponent-mean"
 
-    def value_batch(self, omega0, u, s1, s2):
-        s_opp = np.asarray(s2 if self.team == 0 else s1, dtype=float)
-        return (u - s_opp) ** 2
+    def table(self, omega0, s1, s2, n_actions):
+        return _action_gaps(self._opponent(s1, s2), n_actions) ** 2
 
 
 class TeamCoordination(_StaticCost):
@@ -110,9 +129,8 @@ class TeamCoordination(_StaticCost):
 
     name = "team-coordination"
 
-    def value_batch(self, omega0, u, s1, s2):
-        s_own = np.asarray(s1 if self.team == 0 else s2, dtype=float)
-        return (u - s_own) ** 2
+    def table(self, omega0, s1, s2, n_actions):
+        return _action_gaps(self._own(s1, s2), n_actions) ** 2
 
 
 class EvadeOpponentMean(_StaticCost):
@@ -124,9 +142,8 @@ class EvadeOpponentMean(_StaticCost):
         super().__init__(team, params)
         self.offset = float(params.get("offset", 1.0))
 
-    def value_batch(self, omega0, u, s1, s2):
-        s_opp = np.asarray(s2 if self.team == 0 else s1, dtype=float)
-        return self.offset - (u - s_opp) ** 2
+    def table(self, omega0, s1, s2, n_actions):
+        return self.offset - _action_gaps(self._opponent(s1, s2), n_actions) ** 2
 
 
 class MfMismatchZeroSum(_StaticCost):
@@ -143,10 +160,9 @@ class MfMismatchZeroSum(_StaticCost):
         super().__init__(team, params)
         self.offset = float(params.get("offset", 1.0))
 
-    def value_batch(self, omega0, u, s1, s2):
-        if self.team == 0:
-            return (u - np.asarray(s2, dtype=float)) ** 2
-        return self.offset - (u - np.asarray(s1, dtype=float)) ** 2
+    def table(self, omega0, s1, s2, n_actions):
+        gap = _action_gaps(self._opponent(s1, s2), n_actions) ** 2
+        return gap if self.team == 0 else self.offset - gap
 
 
 class SpreadCost(_StaticCost):
@@ -158,12 +174,11 @@ class SpreadCost(_StaticCost):
         super().__init__(team, params)
         self.offset = float(params.get("offset", 1.0))
 
-    def value_batch(self, omega0, u, s1, s2):
-        s_own = np.asarray(s1 if self.team == 0 else s2, dtype=float)
-        return self.offset - np.abs(u - s_own)
+    def table(self, omega0, s1, s2, n_actions):
+        return self.offset - np.abs(_action_gaps(self._own(s1, s2), n_actions))
 
 
-class TableCost:
+class TableCost(_StaticCost):
     """Dense cost table over a scalar statistic grid, bilinearly interpolated.
 
     values[omega0][u] is a matrix indexed by the two grids. Queries outside
@@ -172,10 +187,9 @@ class TableCost:
     """
 
     name = "table"
-    scalar_reducible = True
 
     def __init__(self, team: int, grid1, grid2, values):
-        self.team = int(team)
+        super().__init__(team, {})
         self.grid1 = np.asarray(grid1, dtype=np.float64)
         self.grid2 = np.asarray(grid2, dtype=np.float64)
         self.values = np.asarray(values, dtype=np.float64)
@@ -200,19 +214,17 @@ class TableCost:
         t = (x - grid[lo]) / (grid[hi] - grid[lo])
         return lo, hi, t
 
-    def value_batch(self, omega0, u, s1, s2):
+    def table(self, omega0, s1, s2, n_actions):
         s1, s2 = np.broadcast_arrays(np.asarray(s1, dtype=float), np.asarray(s2, dtype=float))
         lo1, hi1, t1 = self._locate(self.grid1, s1)
         lo2, hi2, t2 = self._locate(self.grid2, s2)
-        v = self.values[omega0, u]
-        c00 = v[lo1, lo2]
-        c01 = v[lo1, hi2]
-        c10 = v[hi1, lo2]
-        c11 = v[hi1, hi2]
-        return (1 - t1) * ((1 - t2) * c00 + t2 * c01) + t1 * ((1 - t2) * c10 + t2 * c11)
-
-    def value(self, omega0: int, u: int, s1, s2) -> float:
-        return float(self.value_batch(omega0, u, scalar_view(s1), scalar_view(s2)))
+        v = self.values[omega0]
+        u = np.arange(n_actions).reshape((-1,) + (1,) * s1.ndim)
+        c00 = v[u, lo1, lo2]
+        c01 = v[u, lo1, hi2]
+        c10 = v[u, hi1, lo2]
+        c11 = v[u, hi1, hi2]
+        return _actions_last((1 - t1) * ((1 - t2) * c00 + t2 * c01) + t1 * ((1 - t2) * c10 + t2 * c11))
 
     def to_dict(self) -> dict:
         return {
@@ -340,10 +352,7 @@ class StaticActionStageCost(_StageCost):
 
     def table(self, omega0, shape, sx1, sx2, su1, su2):
         s1, s2 = (_scalar_views(s, len(shape) - 2)[..., None] for s in (su1, su2))
-        out = np.empty(shape)
-        for u in range(shape[-1]):
-            out[..., u] = self._inner.value_batch(omega0, u, s1, s2)
-        return out
+        return np.broadcast_to(self._inner.table(omega0, s1, s2, shape[-1]), shape)
 
 
 DYNAMIC_COST_FAMILIES = {

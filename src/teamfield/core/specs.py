@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import make_stage_cost, make_static_cost, make_transition
+from .costs import make_stage_cost, make_static_cost, make_transition, scalar_view
 from .errors import ModelError
 from .spaces import FiniteSpace, ProbVec, StatisticMap, _freeze
 
@@ -178,22 +178,19 @@ def _probe_static_costs(spec: StaticGameSpec, entries: list[str]) -> None:
             if cost.values.shape[:2] != (spec.n_world, t.actions.size):
                 entries.append(f"team {i} cost table leading shape mismatch")
             continue
-        worst = None
+        s1, s2 = (np.array([scalar_view(s) for s in p]) for p in probes)
+        worst = 0.0
         for w0 in range(spec.n_world):
-            for u in range(t.actions.size):
-                for s1 in probes[0]:
-                    for s2 in probes[1]:
-                        try:
-                            v = cost.value(w0, u, s1, s2)
-                        except Exception as e:  # malformed family params
-                            entries.append(f"team {i} cost evaluation failed: {e}")
-                            return
-                        if not np.isfinite(v):
-                            entries.append(f"team {i} cost is nonfinite at a probe point")
-                            return
-                        if v < 0.0 and (worst is None or v < worst):
-                            worst = v
-        if worst is not None:
+            try:
+                v = cost.table(w0, s1[:, None], s2[None, :], t.actions.size)
+            except Exception as e:  # malformed family params
+                entries.append(f"team {i} cost evaluation failed: {e}")
+                return
+            if not np.all(np.isfinite(v)):
+                entries.append(f"team {i} cost is nonfinite at a probe point")
+                return
+            worst = min(worst, float(v.min()))
+        if worst < 0.0:
             entries.append(f"team {i} has a negative cost ({worst:g}) at a probe point")
 
 
@@ -365,7 +362,10 @@ def validate_dynamic_spec(spec: DynamicGameSpec) -> ValidationReport:
             u_probes[0][:1],
             u_probes[1][:1],
         ]
-        msg = _probe_dynamic_team(spec, i, t, probe_sets)
+        try:
+            msg = _probe_dynamic_team(spec, i, t, probe_sets)
+        except Exception as e:  # malformed family params or tables
+            msg = f"team {i} cost or transition evaluation failed: {e}"
         if msg:
             entries.append(msg)
     return ValidationReport(tuple(entries))
@@ -373,8 +373,8 @@ def validate_dynamic_spec(spec: DynamicGameSpec) -> ValidationReport:
 
 def _probe_dynamic_team(spec, i, t, probe_sets) -> str:
     """First violation found while probing one team's transition and cost,
-    in (stage, state, action, probe) order. Each stage reads one table over
-    every combination of probe statistics."""
+    in (stage, state, action, probe) order, the cost at every world point.
+    Each stage reads one table over every combination of probe statistics."""
     combos = list(itertools.product(*probe_sets))
     stats = [np.stack(s) for s in zip(*combos)]
     n_x, n_u = t.states.size, t.actions.size
@@ -383,13 +383,14 @@ def _probe_dynamic_team(spec, i, t, probe_sets) -> str:
         if rows.shape[-3:] != (n_x, n_u, n_x):
             return f"team {i} transition row has the wrong length"
         rows = np.broadcast_to(rows, (len(combos), n_x, n_u, n_x))
-        costs = np.asarray(t.stage_cost.table(0, (len(combos), n_x, n_u), *stats), float)
+        costs = np.asarray([t.stage_cost.table(w, (len(combos), n_x, n_u), *stats) for w in range(spec.n_world)], float)
         bad_row = np.any(rows < -1e-12, axis=-1) | (np.abs(rows.sum(axis=-1) - 1.0) > KERNEL_TOL)
         bad_cost = ~np.isfinite(costs) | (costs < 0.0)
-        found = np.argwhere(np.moveaxis(bad_row | bad_cost, 0, -1))
+        found = np.argwhere(np.moveaxis(bad_row | bad_cost.any(axis=0), 0, -1))
         if len(found):
             x, u, k = found[0]
             if bad_row[k, x, u]:
                 return f"team {i} transition row at (t={stage}, x={x}, u={u}) is not a distribution"
-            return f"team {i} stage cost invalid ({costs[k, x, u]:g}) at a probe point"
+            w = np.argmax(bad_cost[:, k, x, u])
+            return f"team {i} stage cost invalid ({costs[w, k, x, u]:g}) at a probe point"
     return ""

@@ -143,8 +143,9 @@ class FiniteGameInstance:
             cost = spec.teams[team].cost
             C = np.zeros((spec.n_world, len(stats[0]), len(stats[1])))
             for w in range(spec.n_world):
-                for u, f in enumerate(own):
-                    C[w] += f * cost.value_batch(w, u, s1, s2)
+                values = cost.table(w, s1, s2, len(own))
+                for u, f in enumerate(own):  # summed in action order, which fixes the rounding
+                    C[w] += f * values[..., u]
             C.flags.writeable = False
             self._cost_tensors[team] = C
         return self._cost_tensors[team]
@@ -275,8 +276,7 @@ def _static_episodes(inst: FiniteGameInstance, samplers, team: int, stream, epis
     values = np.empty_like(freq)
     for w in np.unique(w0):
         at = w0 == w
-        for u in range(freq.shape[1]):
-            values[at, u] = cost.value_batch(int(w), u, s1[at], s2[at])
+        values[at] = cost.table(int(w), s1[at], s2[at], freq.shape[1])
     total = np.zeros(n_ep)
     for u in range(freq.shape[1]):
         total = np.where(freq[:, u] != 0, total + freq[:, u] * values[:, u], total)

@@ -261,17 +261,20 @@ def dynamic_equilibrium_doc(eq: DynamicMFEquilibrium) -> dict:
     }
 
 
-def epsilon_report_doc(rep: Union[EpsilonReport, SweepRow], team_sizes) -> dict:
-    """The epsilon-report document of a certificate or of one sweep row."""
+def epsilon_row(rep: Union[EpsilonReport, SweepRow], team_sizes) -> dict:
+    """The team sizes, epsilons, method and CI halfwidth of one certificate."""
     return {
-        "schema": SCHEMA,
-        "kind": "epsilon-report",
         "n1": int(team_sizes[0]),
         "n2": int(team_sizes[1]),
         "eps": [float(v) for v in rep.eps],
         "method": rep.method,
         "ci_halfwidth": float(rep.ci_halfwidth),
     }
+
+
+def epsilon_report_doc(rep: Union[EpsilonReport, SweepRow], team_sizes) -> dict:
+    """The epsilon-report document of a certificate or of one sweep row."""
+    return {"schema": SCHEMA, "kind": "epsilon-report", **epsilon_row(rep, team_sizes)}
 
 
 SWEEP_HEADER = "N1,N2,eps1,eps2,method,ci"

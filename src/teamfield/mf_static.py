@@ -16,7 +16,7 @@ mixed fixed points are reachable; the grid search provides an independent
 certificate at a chosen resolution.
 
 Every cost goes through one batched path: the scalar statistics of both
-teams' laws, shaped (..., W), feed the cost family's value_batch, and the
+teams' laws, shaped (..., W), feed the cost family's table, and the
 resulting C[..., w, u] is contracted with the prior and the observation
 kernel into per-observation scores. A single candidate, a block of grid
 candidates and a stack of deviation kernels run the same code, and a
@@ -114,8 +114,9 @@ def _cost_matrix(spec: StaticGameSpec, team: int, s1, s2) -> np.ndarray:
     cost = spec.teams[team].cost
     C = np.empty(s1.shape + (spec.teams[team].actions.size,))
     for w in range(spec.n_world):
-        for u in range(C.shape[-1]):
-            C[..., w, u] = cost.value_batch(w, u, s1[..., w], s2[..., w])
+        T = cost.table(w, s1[..., w], s2[..., w], C.shape[-1])
+        for u in range(C.shape[-1]):  # column by column: numpy copies a short trailing axis slowly
+            C[..., w, u] = T[..., u]
     return C
 
 
@@ -339,6 +340,33 @@ def _tie_bound(Q: np.ndarray, allowed: np.ndarray, target: np.ndarray, screen: n
     return float((per_obs - (screen * target).sum(axis=(-2, -1))).max())
 
 
+def _tie_lp(Q: np.ndarray, ys: np.ndarray, us: np.ndarray, target: np.ndarray):
+    """The tie LP's (c, A_ub, b_ub, A_eq, b_eq) over the allowed cells (ys, us).
+
+    Variables are b(y, u) on the allowed cells, a slack e(w, u) per world
+    point and action, and the objective t. Per world point the inequality
+    rows are +-(Q b)[w, u] - e(w, u) <= +-target[w, u] for each action,
+    then 0.5 sum_u e(w, u) - t <= 0; each observation's b sums to 1.
+    """
+    (n_w, n_y), n_u, nb = Q.shape, target.shape[1], len(ys)
+    nv = nb + n_w * n_u + 1
+    c = np.zeros(nv)
+    c[-1] = 1.0
+    A_eq = np.zeros((n_y, nv))
+    A_eq[ys, np.arange(nb)] = 1.0
+    dev = np.zeros((n_w, n_u, 2, nv))
+    match = us == np.arange(n_u)[:, None]  # (U, nb): cells playing action u
+    dev[:, :, 0, :nb] = np.where(match, Q[:, None, ys], 0.0)
+    dev[:, :, 1, :nb] = np.where(match, -Q[:, None, ys], 0.0)
+    dev.reshape(n_w * n_u, 2, nv)[np.arange(n_w * n_u), :, nb + np.arange(n_w * n_u)] = -1.0
+    tv = np.zeros((n_w, 1, nv))
+    tv[:, 0, nb:-1] = np.kron(np.eye(n_w), np.full(n_u, 0.5))
+    tv[:, 0, -1] = -1.0
+    A_ub = np.concatenate([dev.reshape(n_w, 2 * n_u, nv), tv], axis=1).reshape(-1, nv)
+    b_ub = np.concatenate([np.stack([target, -target], axis=-1).reshape(n_w, -1), np.zeros((n_w, 1))], axis=1).ravel()
+    return c, A_ub, b_ub, A_eq, np.ones(n_y)
+
+
 def _tie_rule(
     spec: StaticGameSpec,
     team: int,
@@ -362,51 +390,15 @@ def _tie_rule(
     Q = spec.teams[team].obs_kernel
     if screen is not None and _tie_bound(Q, allowed, target, screen) >= resolution + TIE_SCREEN_MARGIN:
         return None
-    n_y, n_u = allowed.shape
-    # variables: b(y,u) over allowed actions, e(w,u) slack, t objective
-    var_index = {(int(y), int(u)): j for j, (y, u) in enumerate(np.argwhere(allowed))}
-    nb = len(var_index)
-    ne = spec.n_world * n_u
-    nv = nb + ne + 1
-    c = np.zeros(nv)
-    c[-1] = 1.0
-    A_eq = np.zeros((n_y, nv))
-    b_eq = np.ones(n_y)
-    for (y, u), j in var_index.items():
-        A_eq[y, j] = 1.0
-    A_ub, b_ub = [], []
-    for w in range(spec.n_world):
-        for u in range(n_u):
-            e_j = nb + w * n_u + u
-            for sgn in (1.0, -1.0):
-                row = np.zeros(nv)
-                for (y, uu), j in var_index.items():
-                    if uu == u:
-                        row[j] = sgn * Q[w, y]
-                row[e_j] = -1.0
-                A_ub.append(row)
-                b_ub.append(sgn * target[w, u])
-        row = np.zeros(nv)
-        row[nb + w * n_u : nb + (w + 1) * n_u] = 0.5
-        row[-1] = -1.0
-        A_ub.append(row)
-        b_ub.append(0.0)
-    res = linprog(
-        c,
-        A_ub=np.asarray(A_ub),
-        b_ub=np.asarray(b_ub),
-        A_eq=A_eq,
-        b_eq=b_eq,
-        bounds=[(0, None)] * nv,
-        method="highs",
-    )
+    ys, us = np.nonzero(allowed)
+    c, A_ub, b_ub, A_eq, b_eq = _tie_lp(Q, ys, us, target)
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=[(0, None)] * len(c), method="highs")
     if not res.success:
         raise ModelError(f"tie linear program failed: {res.message}")
     if not res.x[-1] < resolution:
         return None
-    rows = np.zeros((n_y, n_u))
-    for (y, u), j in var_index.items():
-        rows[y, u] = max(res.x[j], 0.0)
+    rows = np.zeros(allowed.shape)
+    rows[ys, us] = np.where(res.x[: len(ys)] < 0.0, 0.0, res.x[: len(ys)])
     rows /= rows.sum(axis=1, keepdims=True)
     return rows
 

@@ -346,6 +346,42 @@ def _tv(p, q):
     return 0.5 * float(np.abs(p - q).sum())
 
 
+def tie_lp_loops(Q, allowed, target):
+    """The grid certificate's tie LP built row by row: (c, A_ub, b_ub, A_eq,
+    b_eq) and the variable index of each allowed (observation, action) cell.
+
+    Variables are b(y, u) on the allowed cells, slacks e(w, u) with
+    e >= +-((Q b)[w, u] - target[w, u]), and t >= 0.5 sum_u e(w, u) for
+    every world point; each observation's b sums to 1.
+    """
+    n_y, n_u = allowed.shape
+    var_index = {(int(y), int(u)): j for j, (y, u) in enumerate(np.argwhere(allowed))}
+    nb = len(var_index)
+    nv = nb + Q.shape[0] * n_u + 1
+    c = np.zeros(nv)
+    c[-1] = 1.0
+    A_eq = np.zeros((n_y, nv))
+    for (y, u), j in var_index.items():
+        A_eq[y, j] = 1.0
+    A_ub, b_ub = [], []
+    for w in range(Q.shape[0]):
+        for u in range(n_u):
+            for sgn in (1.0, -1.0):
+                row = np.zeros(nv)
+                for (y, uu), j in var_index.items():
+                    if uu == u:
+                        row[j] = sgn * Q[w, y]
+                row[nb + w * n_u + u] = -1.0
+                A_ub.append(row)
+                b_ub.append(sgn * target[w, u])
+        row = np.zeros(nv)
+        row[nb + w * n_u : nb + (w + 1) * n_u] = 0.5
+        row[-1] = -1.0
+        A_ub.append(row)
+        b_ub.append(0.0)
+    return c, np.asarray(A_ub), np.asarray(b_ub), A_eq, np.ones(n_y), var_index
+
+
 def _grid_candidate_rules(spec, laws, resolution, tie_tol):
     """Rules per team for one mean-field candidate, or None.
 
@@ -369,42 +405,11 @@ def _grid_candidate_rules(spec, laws, resolution, tie_tol):
                 return None
             rules.append(rows)
             continue
-        var_index = {}
+        allowed = np.zeros((n_y, n_u), dtype=bool)
         for y in range(n_y):
-            for u in tie_sets[y]:
-                var_index[(y, u)] = len(var_index)
-        nb = len(var_index)
-        nv = nb + spec.n_world * n_u + 1
-        c = np.zeros(nv)
-        c[-1] = 1.0
-        A_eq = np.zeros((n_y, nv))
-        for (y, u), j in var_index.items():
-            A_eq[y, j] = 1.0
-        A_ub, b_ub = [], []
-        for w in range(spec.n_world):
-            for u in range(n_u):
-                for sgn in (1.0, -1.0):
-                    row = np.zeros(nv)
-                    for (y, uu), j in var_index.items():
-                        if uu == u:
-                            row[j] = sgn * Q[w, y]
-                    row[nb + w * n_u + u] = -1.0
-                    A_ub.append(row)
-                    b_ub.append(sgn * target[w, u])
-            row = np.zeros(nv)
-            row[nb + w * n_u : nb + (w + 1) * n_u] = 0.5
-            row[-1] = -1.0
-            A_ub.append(row)
-            b_ub.append(0.0)
-        res = linprog(
-            c,
-            A_ub=np.asarray(A_ub),
-            b_ub=np.asarray(b_ub),
-            A_eq=A_eq,
-            b_eq=np.ones(n_y),
-            bounds=[(0, None)] * nv,
-            method="highs",
-        )
+            allowed[y, tie_sets[y]] = True
+        c, A_ub, b_ub, A_eq, b_eq, var_index = tie_lp_loops(Q, allowed, target)
+        res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=[(0, None)] * len(c), method="highs")
         if not res.success or not res.x[-1] < resolution:
             return None
         rows = np.zeros((n_y, n_u))

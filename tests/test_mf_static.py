@@ -20,12 +20,31 @@ from teamfield.mf_static import (
     solve_mf_fixed_point,
 )
 from teamfield.policies import BehavioralPolicy
-from tests._gen import noisy_spec, random_behavioral, random_static_spec, tri_spec
-from tests._oracles import exploitability_oracle, grid_search_oracle, oracle_mismatch_maps
+from tests._gen import FAMILIES, noisy_spec, random_behavioral, random_static_spec, tri_spec
+from tests._oracles import exploitability_oracle, grid_search_oracle, oracle_mismatch_maps, tie_lp_loops
 from tests._paths import GAMES
 
 MISMATCH = GAMES / "mf_mismatch.json"
 COORDINATION = GAMES / "coordination.json"
+
+
+@pytest.fixture(autouse=True)
+def tie_lps(monkeypatch):
+    """Check every tie LP a test builds against the row-by-row builder: the
+    same (c, A_ub, b_ub, A_eq, b_eq), byte for byte. Lists the LPs built."""
+    real, built = mf_static._tie_lp, []
+
+    def checked(Q, ys, us, target):
+        lp = real(Q, ys, us, target)
+        allowed = np.zeros((Q.shape[1], target.shape[1]), dtype=bool)
+        allowed[ys, us] = True
+        for got, want in zip(lp, tie_lp_loops(Q, allowed, target)):
+            assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+        built.append(lp)
+        return lp
+
+    monkeypatch.setattr(mf_static, "_tie_lp", checked)
+    return built
 
 
 def _half() -> BehavioralPolicy:
@@ -186,7 +205,7 @@ def test_grid_search_matches_the_candidate_oracle_on_bundled_games(name):
         _assert_same_hits(grid_fixed_point_search(spec, resolution), grid_search_oracle(spec, resolution))
 
 
-def test_grid_search_matches_the_candidate_oracle_on_generated_games():
+def test_grid_search_matches_the_candidate_oracle_on_generated_games(tie_lps):
     _assert_same_hits(grid_fixed_point_search(noisy_spec(1), 0.25), grid_search_oracle(noisy_spec(1), 0.25))
     _assert_same_hits(grid_fixed_point_search(tri_spec(1), 0.1), grid_search_oracle(tri_spec(1), 0.1))
     rng = np.random.default_rng(7)
@@ -201,6 +220,7 @@ def test_grid_search_matches_the_candidate_oracle_on_generated_games():
         mixed += sum(any(not np.isin(r, (0.0, 1.0)).all() for r in rules) for _, rules, _, _ in ref)
         checked += 1
     assert mixed > 0  # some hits needed the tie linear program
+    assert tie_lps
 
 
 def test_grid_search_blocks_do_not_change_the_hits(monkeypatch):
@@ -214,7 +234,7 @@ def test_grid_search_blocks_do_not_change_the_hits(monkeypatch):
 def test_grid_budget_is_checked_before_any_cost_evaluation(monkeypatch):
     spec = load_spec(COORDINATION)
     calls = []
-    monkeypatch.setattr(type(spec.teams[0].cost), "value_batch", lambda *args: calls.append(args))
+    monkeypatch.setattr(type(spec.teams[0].cost), "table", lambda *args: calls.append(args))
     with pytest.raises(BudgetError) as info:
         grid_fixed_point_search(spec, 0.01, max_candidates=100)
     assert info.value.required == 101**2
@@ -334,3 +354,36 @@ def test_consistency_residual_measures_declared_vs_induced():
             for w in range(spec.n_world)
         )
         assert eq.consistency_residual[i] == pytest.approx(gap, abs=1e-15)
+
+
+def _lone_batch_spec(cost: dict) -> StaticGameSpec:
+    team = {
+        "actions": 3,
+        "observations": 1,
+        "obs_kernel": [[1.0], [1.0]],
+        "statistic": {"kind": "mean-embedding", "embedding": [0.0, 1.0, 2.0]},
+        "cost": cost,
+    }
+    return StaticGameSpec.from_dict({"kind": "static", "world": 2, "prior": [0.5, 0.5], "teams": [team, team]})
+
+
+_TABLE = {
+    "grid1": [0.0, 0.7, 2.0],
+    "grid2": [0.0, 1.3, 2.0],
+    "values": np.random.default_rng(3).random((2, 3, 3, 3)).tolist(),
+}
+
+
+@pytest.mark.parametrize(
+    "cost",
+    [{"family": name, "params": params} for name, params in FAMILIES] + [{"table": _TABLE}],
+    ids=[name for name, _ in FAMILIES] + ["table"],
+)
+def test_lone_statistics_cost_what_a_batch_charges_them(cost):
+    spec = _lone_batch_spec(cost)
+    rng = np.random.default_rng(11)
+    s1, s2 = 2.0 * rng.random((2, 3000, 2))
+    for team in range(2):
+        batch = mf_static._cost_matrix(spec, team, s1, s2)
+        lone = np.stack([mf_static._cost_matrix(spec, team, a, b) for a, b in zip(s1, s2)])
+        assert lone.tobytes() == batch.tobytes(), (team, int((lone != batch).any(axis=(1, 2)).sum()))

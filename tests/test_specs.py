@@ -11,6 +11,8 @@ from teamfield.core.specs import (
     validate_dynamic_spec,
     validate_static_spec,
 )
+from teamfield.io import load_json
+from tests._paths import GAMES
 
 STATIC_DOC = {
     "kind": "static",
@@ -203,3 +205,30 @@ def test_dynamic_validation_reports_the_first_probe_violation():
         "params": {"family": "evade-opponent-mean", "params": {"offset": 0.0}},
     }
     assert _probe_entries(doc) == ["team 1 stage cost invalid (-1) at a probe point"]
+
+
+def _two_world_crowd(values):
+    # crowd avoidance on two world points, team 0 charged by a static cost table
+    doc = load_json(GAMES / "crowd_avoidance.json")
+    doc.update(world=2, prior=[0.5, 0.5])
+    for t in doc["teams"]:
+        t["init_kernel"] = t["init_kernel"] * 2
+    doc["teams"][0]["cost"] = {
+        "family": "static-action",
+        "params": {"table": {"grid1": [0.0, 1.0], "grid2": [0.0, 1.0], "values": values}},
+    }
+    return DynamicGameSpec.from_dict(doc)
+
+
+def test_dynamic_validation_probes_every_world_point():
+    values = np.ones((2, 2, 2, 2))
+    values[1] = -5.0
+    report = validate_dynamic_spec(_two_world_crowd(values.tolist()))
+    assert report.entries == ("team 0 stage cost invalid (-5) at a probe point",)
+
+
+def test_dynamic_validation_reports_a_failed_evaluation():
+    # a one-world table cannot be read at the second world point
+    report = validate_dynamic_spec(_two_world_crowd(np.ones((1, 2, 2, 2)).tolist()))
+    assert len(report.entries) == 1
+    assert report.entries[0].startswith("team 0 cost or transition evaluation failed: ")
