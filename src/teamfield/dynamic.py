@@ -34,7 +34,11 @@ configurations: seats with equal stage kernels form a class, and a
 chain row holds the seat count per (class, state). Costs and
 transitions read only the teams' count totals, so each stage fills its
 tables once per distinct totals, and seats of one class move
-independently given them.
+independently given them. Exact epsilon scores many candidate multisets
+in one chain, and candidates whose classes play the same rules up to
+stage t share their rows through stage t: rows belong to stage
+prefixes, which fan out as the stages go, in an order that keeps every
+candidate's sums those of a chain run for it alone.
 """
 
 from __future__ import annotations
@@ -683,21 +687,49 @@ def _move_sure(probs: np.ndarray, which: np.ndarray, seats: np.ndarray, dest: np
     return seats * ~hit
 
 
+def _prefixes(classes, horizon: int):
+    """Stage prefixes of the candidates of `classes`: per stage t, each
+    candidate's prefix id and each prefix's representative candidate.
+
+    Candidates whose every class plays the same rules at stages 0..t share
+    one prefix at stage t; their rules are compared as raw bytes. Ids come
+    in order of first candidate, and that candidate represents the prefix.
+    """
+    n_cand = max(len(law) for _, _, law in classes)
+    rules = np.concatenate([law.reshape(n_cand, horizon, -1) for _, _, law in classes if len(law) == n_cand], axis=2)
+    out = []
+    for t in range(horizon):
+        flat = np.ascontiguousarray(rules[:, : t + 1]).reshape(n_cand, -1)
+        keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
+        _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        ids = np.empty_like(order)
+        ids[order] = np.arange(len(order))
+        out.append((ids[inv], first[order]))
+    return out
+
+
 def _chain_costs(spec: DynamicGameSpec, team: int, classes) -> np.ndarray:
     """Expected total cost of `team` for each candidate, by a forward
     Markov chain on count configurations.
 
     Each class is (team, seats, law), law of shape (K or 1, H, X, U): the
     class's P(u | x) per stage for each of K candidates, or shared by all.
-    A chain row is one candidate with its seat count per (class, state);
-    arrays hold one row of counts per (class, state) cell, one column per
-    chain row. Per stage every (class, state) cell splits its seats over
-    actions, the team totals key the cost and transition tables, and
-    every (class, state, action) cell moves its seats to next states.
-    Cells whose law puts all mass on one outcome move in bulk; the others
-    branch into every multinomial outcome, and rows with equal
-    configurations merge after each branching move and at the end of the
-    stage.
+    A chain row is one stage prefix (_prefixes) with its seat count per
+    (class, state): candidates that play the same rules up to stage t
+    share their rows through stage t. Arrays hold one row of counts per
+    (class, state) cell, one column per chain row. Rows start on the
+    stage-0 prefixes; at the start of stage t > 0 each row fans out to
+    the stage-t prefixes that extend its prefix, and each prefix's rows
+    keep its parent's order, so every sum runs in the order a chain of
+    that candidate alone would use. Per stage every (class, state) cell
+    splits its seats over actions, the team totals key the cost and
+    transition tables, and every (class, state, action) cell moves its
+    seats to next states. Cells whose law puts all mass on one outcome
+    move in bulk; the others branch into every multinomial outcome, and
+    rows with equal configurations merge after each branching move and
+    at the end of the stage. Stage costs accumulate per prefix, and a
+    candidate's cost sums its prefixes' stage costs in stage order.
     """
     n_cand = max(len(law) for _, _, law in classes)
     n_team = [sum(k for j, k, _ in classes if j == i) for i in range(2)]
@@ -709,6 +741,7 @@ def _chain_costs(spec: DynamicGameSpec, team: int, classes) -> np.ndarray:
     state_radix = np.repeat([k + 1 for _, k, _ in classes], n_x)
     act_radix = np.repeat([k + 1 for _, k, _ in classes], n_xu)
     cells = [(ci, j, x, u) for ci, (j, _, _) in enumerate(classes) for x in range(dims[j][0]) for u in range(dims[j][1])]
+    stages = _prefixes(classes, spec.horizon)
 
     def team_totals(act, i):
         """Team i's seat count per (x, u) cell: its classes' act rows summed."""
@@ -719,22 +752,31 @@ def _chain_costs(spec: DynamicGameSpec, team: int, classes) -> np.ndarray:
     for w in range(spec.n_world):
         init = [(lambda src, k=k: np.full(len(src), k), spec.teams[j].init_kernel[w][None], None) for j, k, _ in classes]
         _, p, made = _branch(1, init)
-        state = np.tile(np.concatenate(made).astype(count), (1, n_cand))
-        cand, p = np.repeat(np.arange(n_cand), len(p)), np.tile(p, n_cand)
+        n_pre = len(stages[0][1])
+        state = np.tile(np.concatenate(made).astype(count), (1, n_pre))
+        pre, p = np.repeat(np.arange(n_pre), len(p)), np.tile(p, n_pre)
         acc = np.zeros(n_cand)
         for t in range(spec.horizon):
+            of_cand, rep = stages[t]
+            if t:
+                # fan out: rows come sorted by prefix, and each stage-t prefix copies its parent's block
+                parent = stages[t - 1][0][rep]
+                size = np.bincount(pre, minlength=len(stages[t - 1][1]))[parent]
+                idx = np.repeat(np.searchsorted(pre, parent) - np.cumsum(size) + size, size) + np.arange(size.sum())
+                pre, p, state = np.repeat(np.arange(len(rep)), size), p[idx], np.take(state, idx, axis=1)
+            which = rep[pre]
             # actions: every (class, state) cell splits its seats by P(u | x)
             act = np.zeros((len(cells), len(p)), dtype=count)
             splits = []
             for ci, (j, _, law) in enumerate(classes):
                 for x in range(dims[j][0]):
                     lo = act_at[ci] + x * dims[j][1]
-                    rest = _move_sure(law[:, t, x], cand, state[state_at[ci] + x], act[lo : lo + dims[j][1]])
+                    rest = _move_sure(law[:, t, x], which, state[state_at[ci] + x], act[lo : lo + dims[j][1]])
                     if rest is not None and rest.any():
                         splits.append((lo, rest, law[:, t, x]))
             if splits:
-                src, w_act, made = _branch(len(p), [(lambda src, r=rest: r[src], law, cand) for _, rest, law in splits])
-                p, cand, act = p[src] * w_act, cand[src], np.take(act, src, axis=1)
+                src, w_act, made = _branch(len(p), [(lambda src, r=rest: r[src], law, which) for _, rest, law in splits])
+                p, pre, act = p[src] * w_act, pre[src], np.take(act, src, axis=1)
                 for (lo, _, _), counts in zip(splits, made):
                     act[lo : lo + len(counts)] += counts
             # costs and transitions: one table entry per distinct pair of team totals
@@ -742,7 +784,7 @@ def _chain_costs(spec: DynamicGameSpec, team: int, classes) -> np.ndarray:
             inv, cost, trans = _keyed_tables(spec, w, t, totals, n_team)
             cost = cost[team].reshape(len(cost[team]), -1)
             stage = functools.reduce(np.add, (n * cost[inv, c] for c, n in enumerate(totals[team])))
-            acc += np.bincount(cand, weights=p * stage / n_team[team], minlength=n_cand)
+            acc += np.bincount(pre, weights=p * stage / n_team[team], minlength=len(rep))[of_cand]
             if trans is None:
                 break
             # moves: every (class, state, action) cell spreads its seats over next states
@@ -758,14 +800,14 @@ def _chain_costs(spec: DynamicGameSpec, team: int, classes) -> np.ndarray:
                 ci, j, x, u = cells[a]
                 parent, counts, w_mv = _split(rest[0], trans[j][:, x, u], inv)
                 rest, rest_radix = np.take(rest[1:], parent, axis=1), rest_radix[1:]
-                p, nxt, cand, inv = p[parent] * w_mv, np.take(nxt, parent, axis=1), cand[parent], inv[parent]
+                p, nxt, pre, inv = p[parent] * w_mv, np.take(nxt, parent, axis=1), pre[parent], inv[parent]
                 nxt[state_at[ci] : state_at[ci + 1]] += counts
                 if len(rest):
-                    keep, g = _group([cand, inv, *rest, *nxt], [n_cand, len(cost), *rest_radix, *state_radix])
-                    rest, nxt, cand, inv = np.take(rest, keep, axis=1), np.take(nxt, keep, axis=1), cand[keep], inv[keep]
+                    keep, g = _group([pre, inv, *rest, *nxt], [len(rep), len(cost), *rest_radix, *state_radix])
+                    rest, nxt, pre, inv = np.take(rest, keep, axis=1), np.take(nxt, keep, axis=1), pre[keep], inv[keep]
                     p = np.bincount(g, weights=p)
-            keep, g = _group([cand, *nxt], [n_cand, *state_radix])
-            p, state, cand = np.bincount(g, weights=p), np.take(nxt, keep, axis=1), cand[keep]
+            keep, g = _group([pre, *nxt], [len(rep), *state_radix])
+            p, state, pre = np.bincount(g, weights=p), np.take(nxt, keep, axis=1), pre[keep]
         out += float(spec.prior[w]) * acc
     return out
 
@@ -851,8 +893,10 @@ def _exact_work(spec: DynamicGameSpec, sizes, base, candidate_budget: int) -> li
     of scoring the base pair and every multiset against the opponent's
     base policy (see _chain_work). A policy's live cells at stage t depend
     only on its stage-t map, so the sum over multisets is a generating
-    function over the stage maps. Pure arithmetic: nothing of the chain is
-    built and no cost or transition is evaluated.
+    function over the stage maps. The rows count every multiset on its
+    own at every stage; the chain shares the rows of multisets with a
+    common stage prefix, so it builds at most this many. Pure arithmetic:
+    nothing of the chain is built and no cost or transition is evaluated.
     """
     rows = []
     base_classes = [(j, sizes[j], _team_classes(spec, j, [base[j]])[0][2]) for j in range(2)]
@@ -928,19 +972,49 @@ def _multisets_by_sizes(n_pol: int, n: int) -> dict[tuple[int, ...], np.ndarray]
     return {k: np.array(v, dtype=np.int64) for k, v in groups.items()}
 
 
+def _held_rows(spec: DynamicGameSpec, classes) -> int:
+    """Most chain rows _chain_costs holds at once for one candidate of
+    `classes`, each class at its most live cells over the candidates.
+
+    Pure arithmetic, the largest over stages. After the action split and
+    after every merge, a candidate's rows differ in their count vectors:
+    at most the product over classes of _class_rows. A branching move
+    splits one (class, state, action) cell at a time. Its s seats, of a
+    class of k, make at most n_compositions(s, X) outcomes per row before
+    the merge, on rows whose earlier cells' next states hold at most
+    k - s seats of that class. So a split's rows before their merge are
+    that product with the class's next-state factor n_compositions(k, X)
+    replaced by the largest n_compositions(k - s, X) * n_compositions(s,
+    X). The passes that _stage_passes counts run one after another on
+    merged rows, so they add nothing to the rows held at once.
+    """
+    most = 0
+    for t in range(spec.horizon):
+        sized = [(j, k, int(_live_cells(law).max(axis=0)[t])) for j, k, law in classes]
+        rows = math.prod(_class_rows(spec, j, k, cells, t) for j, k, cells in sized)
+        most = max(most, rows)
+        if t + 1 < spec.horizon:
+            for j, k, _ in sized:
+                if _moves_branch(spec, j):
+                    n_x = spec.teams[j].states.size
+                    split = max(n_compositions(k - s, n_x) * n_compositions(s, n_x) for s in range(k + 1))
+                    most = max(most, rows // n_compositions(k, n_x) * split)
+    return most
+
+
 def _best_deviation_cost(spec, team, sizes, opp_classes) -> float:
-    """Least exact cost of `team` over the multisets of its deterministic stage policies."""
+    """Least exact cost of `team` over the multisets of its deterministic
+    stage policies.
+
+    Each group of multisets with the same class sizes runs in chunks of
+    as many candidates as fit CHAIN_CHUNK_ROWS at _held_rows each.
+    Candidates of a chunk share their stage prefixes in the chain, so a
+    chunk holds at most that many rows at once.
+    """
     det = _det_policy_laws(spec, team)
-    most = _live_cells(det).max(axis=0)
     best = math.inf
     for seats, pols in _multisets_by_sizes(len(det), sizes[team]).items():
-        per_cand = max(
-            _stage_passes(spec, t)
-            * math.prod(_class_rows(spec, team, k, int(most[t]), t) for k in seats)
-            * math.prod(_class_rows(spec, j, k, int(_live_cells(law[0])[t]), t) for j, k, law in opp_classes)
-            for t in range(spec.horizon)
-        )
-        step = max(1, CHAIN_CHUNK_ROWS // per_cand)
+        step = max(1, CHAIN_CHUNK_ROWS // _held_rows(spec, [(team, k, det) for k in seats] + opp_classes))
         for lo in range(0, len(pols), step):
             chunk = pols[lo : lo + step]
             classes = [(team, k, det[chunk[:, c]]) for c, k in enumerate(seats)] + opp_classes
@@ -964,7 +1038,8 @@ def dynamic_epsilon_estimate(
     deviating team inside the coupled system. A joint deviation matters
     only through the multiset of deterministic stage policies it uses, so
     it scores the C(N + M - 1, M - 1) multisets of the M = (U^Y)^H
-    policies on the count chain, batched by their class sizes;
+    policies on the count chain, batched by their class sizes, where
+    multisets that agree up to a stage share their rows up to it;
     best_deviations stays (None, None). candidate_budget caps the
     multisets and DYN_EXACT_PATH_BUDGET the chain rows per team
     (_exact_work), both checked before anything is built; auto mode is

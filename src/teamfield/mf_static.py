@@ -34,7 +34,7 @@ import numpy as np
 
 from .core.counts import compositions, n_compositions
 from .core.errors import BudgetError, ModelError
-from .core.spaces import Kernel, ProbVec, tv_distance, _freeze
+from .core.spaces import MASS_TOL, Kernel, ProbVec, tv_distance, _freeze
 from .core.specs import StaticGameSpec
 from .policies import BehavioralPolicy
 
@@ -56,10 +56,13 @@ class MeanFieldProfile:
         for l in self.laws:
             if l.ndim != 2:
                 raise ModelError("mean field must be (world, action) shaped")
-            for row in l:
-                bad = ProbVec.unchecked(row).violations()
-                if bad:
-                    raise ModelError("mean field row: " + "; ".join(bad))
+            # one array pass finds the bad rows, each summed as a lone row would be;
+            # the first bad row explains itself
+            with np.errstate(invalid="ignore"):
+                mass_off = np.abs(np.ascontiguousarray(l).sum(axis=1) - 1.0) > MASS_TOL
+            bad = ~np.isfinite(l).all(axis=1) | (l < 0.0).any(axis=1) | mass_off
+            if bad.any():
+                raise ModelError("mean field row: " + "; ".join(ProbVec.unchecked(l[bad.argmax()]).violations()))
 
     @property
     def n_world(self) -> int:

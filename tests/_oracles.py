@@ -10,11 +10,16 @@ a time with a seat-by-seat profile sampler, stars-and-bars count vectors,
 and symmetrization and exchangeability by looping over all n! seat
 permutations. None of it shares code with the package's count-class,
 count-chain, multiset, batched cost and batched sampling paths, which is
-the point.
+the point. The exceptions are engines the package replaced and keeps
+pinned bit for bit: the row-by-row tie LP builder, the row-by-row
+mean-field profile check, and the count chain that ran every candidate
+on rows of its own (candidate_chain_costs), which still calls the
+chain's split and grouping helpers.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import defaultdict
@@ -382,6 +387,22 @@ def tie_lp_loops(Q, allowed, target):
     return c, np.asarray(A_ub), np.asarray(b_ub), A_eq, np.ones(n_y), var_index
 
 
+def row_loop_profile_init(profile):
+    """MeanFieldProfile.__post_init__ validating one row at a time, the
+    check the array pass replaced."""
+    from teamfield.core.errors import ModelError
+    from teamfield.core.spaces import ProbVec, _freeze
+
+    object.__setattr__(profile, "laws", tuple(_freeze(l) for l in profile.laws))
+    for l in profile.laws:
+        if l.ndim != 2:
+            raise ModelError("mean field must be (world, action) shaped")
+        for row in l:
+            bad = ProbVec.unchecked(row).violations()
+            if bad:
+                raise ModelError("mean field row: " + "; ".join(bad))
+
+
 def _grid_candidate_rules(spec, laws, resolution, tie_tol):
     """Rules per team for one mean-field candidate, or None.
 
@@ -560,6 +581,121 @@ def seat_exact_dynamic_cost(spec, team_sizes, seat_pols, team):
             dist = nxt
         per_world.append(float(spec.prior[w]) * total)
     return math.fsum(per_world)
+
+
+def candidate_chain_costs(spec, team, classes):
+    """Expected total cost of `team` for each candidate, by a forward
+    Markov chain on count configurations, every candidate on rows of its
+    own from stage 0.
+
+    The count chain before candidates shared their stage prefixes; it
+    reuses the package's split, branch, grouping and table helpers, and
+    is what the prefix chain must reproduce bit for bit.
+
+    Each class is (team, seats, law), law of shape (K or 1, H, X, U): the
+    class's P(u | x) per stage for each of K candidates, or shared by all.
+    A chain row is one candidate with its seat count per (class, state);
+    arrays hold one row of counts per (class, state) cell, one column per
+    chain row. Per stage every (class, state) cell splits its seats over
+    actions, the team totals key the cost and transition tables, and
+    every (class, state, action) cell moves its seats to next states.
+    Cells whose law puts all mass on one outcome move in bulk; the others
+    branch into every multinomial outcome, and rows with equal
+    configurations merge after each branching move and at the end of the
+    stage.
+    """
+    from teamfield.dynamic import _branch, _group, _keyed_tables, _move_sure, _split
+
+    n_cand = max(len(law) for _, _, law in classes)
+    n_team = [sum(k for j, k, _ in classes if j == i) for i in range(2)]
+    count = np.int16 if max(n_team) < 1 << 15 else np.int32  # holds every seat count and team total
+    dims = [(t.states.size, t.actions.size) for t in spec.teams]
+    n_x = [dims[j][0] for j, _, _ in classes]
+    n_xu = [dims[j][0] * dims[j][1] for j, _, _ in classes]
+    state_at, act_at = np.cumsum([0] + n_x), np.cumsum([0] + n_xu)
+    state_radix = np.repeat([k + 1 for _, k, _ in classes], n_x)
+    act_radix = np.repeat([k + 1 for _, k, _ in classes], n_xu)
+    cells = [(ci, j, x, u) for ci, (j, _, _) in enumerate(classes) for x in range(dims[j][0]) for u in range(dims[j][1])]
+
+    def team_totals(act, i):
+        """Team i's seat count per (x, u) cell: its classes' act rows summed."""
+        blocks = [act[act_at[ci] : act_at[ci + 1]] for ci, (j, _, _) in enumerate(classes) if j == i]
+        return functools.reduce(np.add, blocks)
+
+    out = np.zeros(n_cand)
+    for w in range(spec.n_world):
+        init = [(lambda src, k=k: np.full(len(src), k), spec.teams[j].init_kernel[w][None], None) for j, k, _ in classes]
+        _, p, made = _branch(1, init)
+        state = np.tile(np.concatenate(made).astype(count), (1, n_cand))
+        cand, p = np.repeat(np.arange(n_cand), len(p)), np.tile(p, n_cand)
+        acc = np.zeros(n_cand)
+        for t in range(spec.horizon):
+            # actions: every (class, state) cell splits its seats by P(u | x)
+            act = np.zeros((len(cells), len(p)), dtype=count)
+            splits = []
+            for ci, (j, _, law) in enumerate(classes):
+                for x in range(dims[j][0]):
+                    lo = act_at[ci] + x * dims[j][1]
+                    rest = _move_sure(law[:, t, x], cand, state[state_at[ci] + x], act[lo : lo + dims[j][1]])
+                    if rest is not None and rest.any():
+                        splits.append((lo, rest, law[:, t, x]))
+            if splits:
+                src, w_act, made = _branch(len(p), [(lambda src, r=rest: r[src], law, cand) for _, rest, law in splits])
+                p, cand, act = p[src] * w_act, cand[src], np.take(act, src, axis=1)
+                for (lo, _, _), counts in zip(splits, made):
+                    act[lo : lo + len(counts)] += counts
+            # costs and transitions: one table entry per distinct pair of team totals
+            totals = [team_totals(act, i) for i in range(2)]
+            inv, cost, trans = _keyed_tables(spec, w, t, totals, n_team)
+            cost = cost[team].reshape(len(cost[team]), -1)
+            stage = functools.reduce(np.add, (n * cost[inv, c] for c, n in enumerate(totals[team])))
+            acc += np.bincount(cand, weights=p * stage / n_team[team], minlength=n_cand)
+            if trans is None:
+                break
+            # moves: every (class, state, action) cell spreads its seats over next states
+            nxt = np.zeros((state_at[-1], len(p)), dtype=count)
+            for a, (ci, j, x, u) in enumerate(cells):
+                if act[a].any():
+                    dest = nxt[state_at[ci] : state_at[ci + 1]]
+                    rest = _move_sure(trans[j][:, x, u], inv, act[a], dest)
+                    act[a] = 0 if rest is None else rest
+            todo = [a for a in range(len(cells)) if act[a].any()]
+            rest, rest_radix = act[todo], act_radix[todo]
+            for a in todo:
+                ci, j, x, u = cells[a]
+                parent, counts, w_mv = _split(rest[0], trans[j][:, x, u], inv)
+                rest, rest_radix = np.take(rest[1:], parent, axis=1), rest_radix[1:]
+                p, nxt, cand, inv = p[parent] * w_mv, np.take(nxt, parent, axis=1), cand[parent], inv[parent]
+                nxt[state_at[ci] : state_at[ci + 1]] += counts
+                if len(rest):
+                    keep, g = _group([cand, inv, *rest, *nxt], [n_cand, len(cost), *rest_radix, *state_radix])
+                    rest, nxt, cand, inv = np.take(rest, keep, axis=1), np.take(nxt, keep, axis=1), cand[keep], inv[keep]
+                    p = np.bincount(g, weights=p)
+            keep, g = _group([cand, *nxt], [n_cand, *state_radix])
+            p, state, cand = np.bincount(g, weights=p), np.take(nxt, keep, axis=1), cand[keep]
+        out += float(spec.prior[w]) * acc
+    return out
+
+
+def candidate_dynamic_epsilon(spec, team_sizes, pols):
+    """Exact dynamic epsilon over multisets of deterministic stage
+    policies, every multiset of a size group scored in one call of
+    candidate_chain_costs."""
+    from teamfield.dynamic import _det_policy_laws, _multisets_by_sizes, _team_classes
+
+    sizes = (int(team_sizes[0]), int(team_sizes[1]))
+    eps = []
+    for i in range(2):
+        opp = [(1 - i, sizes[1 - i], law) for _, _, law in _team_classes(spec, 1 - i, [pols[1 - i]])]
+        own = [(i, sizes[i], law) for _, _, law in _team_classes(spec, i, [pols[i]])]
+        cur = float(candidate_chain_costs(spec, i, own + opp)[0])
+        det = _det_policy_laws(spec, i)
+        best = min(
+            float(candidate_chain_costs(spec, i, [(i, k, det[picks[:, c]]) for c, k in enumerate(seats)] + opp).min())
+            for seats, picks in _multisets_by_sizes(len(det), sizes[i]).items()
+        )
+        eps.append(cur - best)
+    return tuple(eps)
 
 
 def det_stage_policies(spec, team):

@@ -23,6 +23,8 @@ from teamfield.io import load_spec
 from teamfield.mf_static import SolverConfig
 from tests._gen import random_dynamic_spec, random_stage_policy
 from tests._oracles import (
+    candidate_chain_costs,
+    candidate_dynamic_epsilon,
     episode_simulation,
     forward_flow_cost,
     loop_best_response,
@@ -519,6 +521,72 @@ def test_crowd_epsilon_closed_form():
             assert e == pytest.approx((n // 2) / n**2, abs=1e-12)
 
 
+# -- stage-prefix chain against the per-candidate chain it replaced ---------
+
+
+def _assert_prefix_chain_is_the_candidate_chain(monkeypatch, spec, sizes, pols):
+    """Every chain call of exact epsilon returns, bit for bit, what the
+    per-candidate chain returns on the same classes, and the epsilon is
+    the one the per-candidate chain gives without chunks. Returns the
+    class sizes of the candidate blocks scored."""
+    import teamfield.dynamic as dynamic
+
+    chain, groups = dynamic._chain_costs, set()
+
+    def both(spec, team, classes):
+        got, want = chain(spec, team, classes), candidate_chain_costs(spec, team, classes)
+        assert got.tobytes() == want.tobytes()
+        groups.add(tuple(k for j, k, law in classes if j == team and len(law) > 1))
+        return got
+
+    monkeypatch.setattr(dynamic, "_chain_costs", both)
+    assert dynamic_epsilon_estimate(spec, sizes, pols, mode="exact").eps == candidate_dynamic_epsilon(spec, sizes, pols)
+    return groups
+
+
+@pytest.mark.parametrize("game", [CROWD, CHAIN])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_prefix_chain_is_bit_identical_to_the_candidate_chain_on_bundled_games(monkeypatch, game, n):
+    import teamfield.dynamic as dynamic
+
+    # copies at N=4 needs 3.7M chain rows; the comparison needs no budget
+    monkeypatch.setattr(dynamic, "DYN_EXACT_PATH_BUDGET", 10 * DYN_EXACT_PATH_BUDGET)
+    spec = load_spec(game)
+    pols = (StagePolicy.uniform(spec, 0), StagePolicy.uniform(spec, 1))
+    groups = _assert_prefix_chain_is_the_candidate_chain(monkeypatch, spec, (n, n), pols)
+    if n == 3:
+        assert {(3,), (2, 1), (1, 1, 1)} <= groups
+
+
+# (states, observations, world points, horizon, transition, team sizes); two
+# actions each. Horizon 3, where prefixes fan out twice, comes first.
+PREFIX_CASES = [
+    (2, 1, 1, 3, "fixed", (3, 1)),
+    (2, 1, 2, 3, "mean-field-mixture", (2, 1)),
+    (3, 1, 1, 3, "mean-field-mixture", (1, 1)),
+    (2, 2, 1, 3, "fixed", (1, 1)),
+    (2, 1, 1, 2, "mean-field-mixture", (3, 2)),
+    (2, 1, 2, 2, "fixed", (3, 1)),
+    (3, 1, 1, 2, "mean-field-mixture", (2, 1)),
+    (3, 1, 2, 2, "fixed", (1, 2)),
+    (2, 2, 1, 2, "mean-field-mixture", (2, 1)),
+    (2, 2, 2, 2, "fixed", (1, 2)),
+    (3, 2, 1, 2, "fixed", (1, 1)),
+    (3, 2, 2, 2, "mean-field-mixture", (1, 1)),
+]
+
+
+@pytest.mark.parametrize("case", range(len(PREFIX_CASES)))
+def test_prefix_chain_is_bit_identical_to_the_candidate_chain_on_random_games(monkeypatch, case):
+    n_x, n_y, n_w, horizon, transition, sizes = PREFIX_CASES[case]
+    rng = np.random.default_rng(4000 + case)
+    spec = random_dynamic_spec(rng, n_x, 2, n_y, n_w, transition, horizon=horizon)
+    assert validate_dynamic_spec(spec).ok
+    pols = (random_stage_policy(rng, spec, 0), random_stage_policy(rng, spec, 1))
+    groups = _assert_prefix_chain_is_the_candidate_chain(monkeypatch, spec, sizes, pols)
+    assert (1,) * max(sizes) in groups
+
+
 # -- batched frozen-flow best response against the policy-by-policy loop ------
 
 
@@ -668,7 +736,13 @@ def test_auto_mode_uses_the_shared_work_helper(monkeypatch):
     assert len(seen) == 1
 
 
-@pytest.mark.parametrize("case", ["crowd", "chain", "mixture"])
+def _dyn2_shaped():
+    """3 states, 3 actions, 2 observations and 2 world points with
+    mean-field-mixture transitions, at one seat a team: its moves branch."""
+    return random_dynamic_spec(np.random.default_rng(6), 3, 3, 2, 2, "mean-field-mixture"), (1, 1)
+
+
+@pytest.mark.parametrize("case", ["crowd", "chain", "mixture", "dyn2"])
 def test_chain_builds_no_more_rows_than_its_budget_counts(monkeypatch, case):
     # the rows whose team totals the chain groups to key its tables, and
     # the rows its moves merge together, each stay within the row count
@@ -678,6 +752,8 @@ def test_chain_builds_no_more_rows_than_its_budget_counts(monkeypatch, case):
     if case == "mixture":
         rng = np.random.default_rng(8)
         spec, sizes = random_dynamic_spec(rng, 3, 2, 1, 2, "mean-field-mixture"), (2, 1)
+    elif case == "dyn2":
+        spec, sizes = _dyn2_shaped()
     else:
         spec, sizes = load_spec(CROWD if case == "crowd" else CHAIN), (4, 3)
     pols = (StagePolicy.uniform(spec, 0), StagePolicy.uniform(spec, 1))
@@ -690,3 +766,74 @@ def test_chain_builds_no_more_rows_than_its_budget_counts(monkeypatch, case):
     assert sum(keyed) <= required
     # every keying groups its rows once; the rest are the moves' merges
     assert sum(grouped) - sum(keyed) <= required
+
+
+def _sure_opponent_spec():
+    """3 states, 2 actions: team 0 moves over a dense fixed table, team 1's
+    moves are sure, so team 0's cells are the last to split."""
+    rng = np.random.default_rng(0)
+    teams = []
+    for i in range(2):
+        table = rng.dirichlet(np.ones(3), size=6).reshape(3, 2, 3) if i == 0 else np.eye(3)[np.zeros((3, 2), dtype=int)]
+        teams.append(
+            {
+                "states": 3,
+                "actions": 2,
+                "observations": 1,
+                "init_kernel": rng.dirichlet(np.ones(3), size=1).tolist(),
+                "obs_model": [[1.0]] * 3,
+                "transition": {"family": "fixed", "params": {"rows": [table.tolist()] * 2}},
+                "cost": {"family": "congestion", "params": {}},
+                "stat_x": {"kind": "identity"},
+                "stat_u": {"kind": "identity"},
+            }
+        )
+    return DynamicGameSpec.from_dict({"kind": "dynamic", "world": 1, "prior": [1.0], "horizon": 2, "teams": teams})
+
+
+@pytest.mark.parametrize("case", ["dyn2", 0, 1, 2, "sure opponent"])
+def test_chain_holds_no_more_rows_at_once_than_its_chunk_bound(monkeypatch, case):
+    # every _group input of a chain call, the largest set of rows it holds,
+    # stays within its candidates times _held_rows, the bound deviation
+    # chunks are sized by
+    import teamfield.dynamic as dynamic
+
+    if case == "dyn2":
+        spec, sizes = _dyn2_shaped()
+        pols = (StagePolicy.uniform(spec, 0), StagePolicy.uniform(spec, 1))
+    elif case == "sure opponent":
+        spec, sizes = _sure_opponent_spec(), (2, 1)
+        pols = (StagePolicy.uniform(spec, 0), StagePolicy.uniform(spec, 1))
+    else:
+        rng = np.random.default_rng(300 + case)
+        shape, sizes = [
+            ((2, 2, 1, 2, "mean-field-mixture"), (3, 2)),
+            ((3, 2, 1, 1, "fixed"), (2, 2)),
+            ((2, 2, 2, 1, "mean-field-mixture"), (2, 1)),
+        ][case]
+        spec = random_dynamic_spec(rng, *shape)
+        pols = (random_stage_policy(rng, spec, 0), random_stage_policy(rng, spec, 1))
+    assert any(dynamic._moves_branch(spec, j) for j in range(2))
+    calls, held = [], []
+    chain, group = dynamic._chain_costs, dynamic._group
+
+    def tracked_chain(spec, team, classes):
+        held.clear()
+        out = chain(spec, team, classes)
+        calls.append((team, len(out), max(held), len(out) * dynamic._held_rows(spec, classes)))
+        return out
+
+    monkeypatch.setattr(dynamic, "_chain_costs", tracked_chain)
+    monkeypatch.setattr(dynamic, "_group", lambda cols, radices: held.append(len(cols[0])) or group(cols, radices))
+    dynamic_epsilon_estimate(spec, sizes, pols, mode="exact")
+    assert calls
+    for _, _, largest, bound in calls:
+        assert largest <= bound
+    if case == "dyn2":
+        # each team's 81 deviations fit one chunk (six at a bound that multiplied by the move passes)
+        assert [(team, n) for team, n, _, _ in calls if n > 1] == [(0, 81), (1, 81)]
+    if case == "sure opponent":
+        # a split's rows before their merge outgrow the product of _class_rows
+        # (756 at the base pair), which is why _held_rows counts them
+        team, n, largest, _ = calls[0]
+        assert (team, n) == (0, 1) and largest > 756

@@ -21,7 +21,13 @@ from teamfield.mf_static import (
 )
 from teamfield.policies import BehavioralPolicy
 from tests._gen import FAMILIES, noisy_spec, random_behavioral, random_static_spec, tri_spec
-from tests._oracles import exploitability_oracle, grid_search_oracle, oracle_mismatch_maps, tie_lp_loops
+from tests._oracles import (
+    exploitability_oracle,
+    grid_search_oracle,
+    oracle_mismatch_maps,
+    row_loop_profile_init,
+    tie_lp_loops,
+)
 from tests._paths import GAMES
 
 MISMATCH = GAMES / "mf_mismatch.json"
@@ -229,6 +235,67 @@ def test_grid_search_blocks_do_not_change_the_hits(monkeypatch):
     monkeypatch.setattr(mf_static, "GRID_BLOCK", 60)  # two of team 0's 25 laws per block
     ref = [(h.mean_fields.laws, [p.kernel.rows for p in h.policies], h.br_residual, h.consistency_residual) for h in whole]
     _assert_same_hits(grid_fixed_point_search(spec, 0.25), ref)
+
+
+def _profile_error(init, laws):
+    """The ModelError message `init` raises on a profile of `laws`, or None."""
+    profile = object.__new__(MeanFieldProfile)
+    object.__setattr__(profile, "laws", laws)
+    try:
+        init(profile)
+    except ModelError as err:
+        return str(err)
+    return None
+
+
+def test_profile_validation_names_the_first_bad_row_as_the_row_loop_did():
+    ok = [0.25, 0.75]
+    cases = [
+        ([ok, [np.nan, 1.0]], "mean field row: nonfinite probability entry"),
+        ([ok, [-0.25, 1.25], [np.nan, 1.0]], "mean field row: negative probability entry -0.25"),
+        ([[0.5, 0.6], ok], "mean field row: total mass off by 0.1"),
+        ([ok, [-0.5, 0.5], [np.inf, 0.0]], "mean field row: negative probability entry -0.5; total mass off by 1"),
+    ]
+    for rows, message in cases:
+        for laws in ((np.array([ok]), np.array(rows)), (np.array(rows), np.array([ok]))):
+            assert _profile_error(row_loop_profile_init, laws) == message
+            with pytest.raises(ModelError) as info:
+                MeanFieldProfile(laws=laws)
+            assert str(info.value) == message
+    MeanFieldProfile(laws=(np.array([ok]), np.array([ok, [1.0, 0.0]])))
+
+
+def test_profile_validation_agrees_with_the_row_loop_at_the_mass_tolerance():
+    rng = np.random.default_rng(17)
+    seen = set()
+    for _ in range(600):
+        n_w, n_u = int(rng.integers(1, 5)), int(rng.integers(1, 24))
+        law = rng.dirichlet(np.ones(n_u), size=n_w)
+        w = int(rng.integers(0, n_w))
+        kind = int(rng.integers(0, 4))
+        if kind == 1:
+            law[w] *= 1.0 + float(rng.choice([-2e-12, -1e-12, -5e-13, 5e-13, 1e-12, 2e-12]))
+        elif kind == 2:
+            law[w, int(rng.integers(0, n_u))] = -float(rng.choice([1e-300, 1e-13, 0.5]))
+        elif kind == 3:
+            law[w, int(rng.integers(0, n_u))] = float(rng.choice([np.nan, np.inf, -np.inf]))
+        laws = (law, np.asfortranarray(law)[::-1]) if rng.random() < 0.5 else (np.asfortranarray(law), law[:1])
+        want = _profile_error(row_loop_profile_init, laws)
+        assert _profile_error(MeanFieldProfile.__post_init__, laws) == want
+        seen.add(want.split(":")[1].split()[0] if want else None)
+    assert seen == {None, "nonfinite", "negative", "total"}
+
+
+@pytest.mark.parametrize("game", ["spread", "coordination", "mf_mismatch", "noisy", "tri"])
+def test_grid_hits_are_the_same_under_the_row_loop_check(monkeypatch, game):
+    generated = {"noisy": noisy_spec, "tri": tri_spec}
+    spec = generated[game](3) if game in generated else load_spec(GAMES / f"{game}.json")
+    resolution = 0.1 if game in generated else 0.05
+    hits = grid_fixed_point_search(spec, resolution)
+    assert hits
+    ref = [(h.mean_fields.laws, [p.kernel.rows for p in h.policies], h.br_residual, h.consistency_residual) for h in hits]
+    monkeypatch.setattr(MeanFieldProfile, "__post_init__", row_loop_profile_init)
+    _assert_same_hits(grid_fixed_point_search(spec, resolution), ref)
 
 
 def test_grid_budget_is_checked_before_any_cost_evaluation(monkeypatch):
