@@ -15,6 +15,12 @@ class ModelError(TeamfieldError):
     """Malformed model data or an index out of range."""
 
 
+def check_team(team) -> None:
+    """Raise a ModelError unless team is 0 or 1."""
+    if team not in (0, 1):
+        raise ModelError(f"team index {team} out of range")
+
+
 class SpecValidationError(TeamfieldError):
     """Raised when a spec fails validation at load time."""
 

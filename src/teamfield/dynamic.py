@@ -43,7 +43,6 @@ candidate's sums those of a chain run for it alone.
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import math
@@ -52,8 +51,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core.counts import arrangements, compositions, n_compositions
-from .core.errors import BudgetError, ModelError
+from .core.counts import arrangements, compositions, multisets, n_compositions
+from .core.errors import BudgetError, ModelError, check_team
 from .core.spaces import Kernel, tv_distance, _freeze
 from .core.specs import DynamicGameSpec
 from .finite_n import (
@@ -117,34 +116,15 @@ class FlowProfile:
         )
 
     @property
-    def horizon(self) -> int:
-        return len(self.joints[0])
-
-    @property
     def n_world(self) -> int:
         return self.joints[0][0].shape[0]
-
-    def joint(self, team: int, t: int, w: int) -> np.ndarray:
-        return self.joints[team][t][w]
-
-    def state_marginal(self, team: int, t: int, w: int) -> np.ndarray:
-        return self.joints[team][t][w].sum(axis=1)
 
     def action_marginal(self, team: int, t: int, w: int) -> np.ndarray:
         return self.joints[team][t][w].sum(axis=0)
 
-    def max_tv(self, other: "FlowProfile") -> float:
-        return max(self.team_tv(other, i) for i in range(2))
-
     def team_tv(self, other: "FlowProfile", team: int) -> float:
-        worst = 0.0
-        for t in range(self.horizon):
-            for w in range(self.n_world):
-                worst = max(
-                    worst,
-                    tv_distance(self.joints[team][t][w].ravel(), other.joints[team][t][w].ravel()),
-                )
-        return worst
+        pairs = zip(self.joints[team], other.joints[team])  # stage by stage
+        return max(tv_distance(a[w].ravel(), b[w].ravel()) for a, b in pairs for w in range(self.n_world))
 
 
 @dataclass
@@ -294,6 +274,7 @@ def mf_dynamic_cost(
     The seat's own state law evolves under its own rule, but every
     statistic inside costs and transitions comes from the frozen flows.
     """
+    check_team(team)
     _check_stage_policy(spec, team, pol)
     laws = [_action_given_state(spec, team, pol, t)[None] for t in range(spec.horizon)]
     return float(_policy_values(spec, team, laws, *_flow_tables(spec, team, flows))[0])
@@ -321,6 +302,7 @@ def dynamic_best_response_fixed_flow(
     the first improvement in map order; its output is only a local optimum
     and is flagged by exhaustive=False.
     """
+    check_team(team)
     rows = _stage_map_rows(spec, team)
     stages = [_stage_map_laws(spec, team, t) for t in range(spec.horizon)]
     cost, trans = _flow_tables(spec, team, flows)
@@ -821,49 +803,22 @@ def _team_classes(spec: DynamicGameSpec, team: int, pols: Sequence[StagePolicy])
     return [(team, k, law[None]) for law, k in groups.values()]
 
 
-def _moves_branch(spec: DynamicGameSpec, team: int) -> bool:
-    """Whether a seat of the team can move to more than one next state:
-    a transition row with several next states, or one that reads the
+def _moves_branch(spec: DynamicGameSpec) -> tuple[bool, bool]:
+    """Per team, whether a seat can move to more than one next state: a
+    transition row with several next states, or one that reads the
     statistics."""
-    tr = spec.teams[team].transition
-    return not (tr.statistic_free and ((tr.raw_rows() > 0.0).sum(axis=1) == 1).all())
+    trs = [t.transition for t in spec.teams]
+    return tuple(not (tr.statistic_free and ((tr.raw_rows() > 0.0).sum(axis=1) == 1).all()) for tr in trs)
 
 
-def _class_rows(spec: DynamicGameSpec, team: int, k: int, cells: int, t: int) -> int:
+def _class_rows(spec: DynamicGameSpec, team: int, k: int, cells: int, t: int, branch) -> int:
     """Chain rows one class of k seats with `cells` live (state, action)
     cells multiplies in at stage t: its count vectors over those cells,
-    times its next-state count vectors when its moves branch."""
+    times its next-state count vectors when branch (_moves_branch) says."""
     rows = n_compositions(k, cells)
-    if t + 1 < spec.horizon and _moves_branch(spec, team):
+    if t + 1 < spec.horizon and branch[team]:
         rows *= n_compositions(k, spec.teams[team].states.size)
     return rows
-
-
-def _stage_passes(spec: DynamicGameSpec, t: int) -> int:
-    """Passes over the rows of stage t: branching moves split the (state,
-    action) cells one at a time, each pass over rows that already carry
-    the earlier cells' next states."""
-    if t + 1 < spec.horizon and any(_moves_branch(spec, j) for j in range(2)):
-        return max(ti.states.size * ti.actions.size for ti in spec.teams)
-    return 1
-
-
-def _poly_mul(a: list[int], b: list[int], n: int) -> list[int]:
-    return [sum(a[i] * b[d - i] for i in range(d + 1)) for d in range(n + 1)]
-
-
-def _multiset_rows(n: int, factors: dict[int, tuple[list[int], int]]) -> int:
-    """Sum over multisets of n seats on policies of the product, over the
-    policies used, of each one's factor at its seat count. `factors`
-    holds (f, count): count policies whose factor at k seats is f[k],
-    f[0] = 1. A generating function, raised to each count by squaring."""
-    total = [1] + [0] * n
-    for f, count in factors.values():
-        while count:
-            if count & 1:
-                total = _poly_mul(total, f, n)
-            f, count = _poly_mul(f, f, n), count >> 1
-    return total[n]
 
 
 def _live_cells(law: np.ndarray) -> np.ndarray:
@@ -871,18 +826,27 @@ def _live_cells(law: np.ndarray) -> np.ndarray:
     return (law > 0.0).sum(axis=(-2, -1))
 
 
-def _chain_work(spec: DynamicGameSpec, classes) -> int:
-    """Rows the chain builds for fixed classes, bounded from arithmetic:
-    per world point and stage, the product over classes of _class_rows,
-    times _stage_passes. The action step builds at most the count vectors
-    over live cells, and the moves at most that many times the next-state
-    vectors."""
-    per_stage = [
-        _stage_passes(spec, t)
-        * math.prod(_class_rows(spec, j, k, int(_live_cells(law[0])[t]), t) for j, k, law in classes)
-        for t in range(spec.horizon)
-    ]
-    return spec.n_world * sum(per_stage)
+def _chain_work(spec: DynamicGameSpec, classes, branch) -> int:
+    """Rows _chain_costs builds for `classes`, bounded from arithmetic:
+    per world point, stage and stage prefix (_prefixes), the product over
+    classes of _class_rows at the prefix's representative, whose live
+    cells its candidates share, times the stage's passes. Per prefix, the
+    action step builds at most the count vectors over live cells, and the
+    moves at most that many times the next-state vectors. Before the last
+    stage, branching moves split the (class, state, action) cells of every
+    class one at a time, each pass over rows that already carry the
+    earlier cells' next states, and merge them after it."""
+    live = [_live_cells(law) for _, _, law in classes]
+    passes = max(1, sum(spec.teams[j].states.size * spec.teams[j].actions.size for j, _, _ in classes if branch[j]))
+    work = 0
+    for t, (_, rep) in enumerate(_prefixes(classes, spec.horizon)):
+        rows = 1
+        for (j, k, _), cells in zip(classes, live):
+            cells = cells[rep if len(cells) > 1 else [0], t]
+            table = [_class_rows(spec, j, k, c, t, branch) for c in range(int(cells.max()) + 1)]
+            rows = rows * np.array(table, dtype=object)[cells]  # Python ints: exact at any size
+        work += (passes if t + 1 < spec.horizon else 1) * int(rows.sum())
+    return spec.n_world * work
 
 
 def _exact_work(spec: DynamicGameSpec, sizes, base, candidate_budget: int) -> list[tuple[str, int, int]]:
@@ -890,34 +854,25 @@ def _exact_work(spec: DynamicGameSpec, sizes, base, candidate_budget: int) -> li
 
     Per team: the multisets of n deterministic stage policies,
     C(n + M - 1, n) with M = (U^Y)^H; then, when those fit, the chain rows
-    of scoring the base pair and every multiset against the opponent's
-    base policy (see _chain_work). A policy's live cells at stage t depend
-    only on its stage-t map, so the sum over multisets is a generating
-    function over the stage maps. The rows count every multiset on its
-    own at every stage; the chain shares the rows of multisets with a
-    common stage prefix, so it builds at most this many. Pure arithmetic:
-    nothing of the chain is built and no cost or transition is evaluated.
+    (_chain_work) of the base pair and of every deviation chunk the chain
+    runs (_deviation_chunks), per world point, stage and shared stage
+    prefix. Counting stops once the rows pass DYN_EXACT_PATH_BUDGET, so a
+    figure over it is a lower bound. No chain row is built and no cost or
+    transition evaluated.
     """
     rows = []
+    branch = _moves_branch(spec)
     base_classes = [(j, sizes[j], _team_classes(spec, j, [base[j]])[0][2]) for j in range(2)]
     for i, ti in enumerate(spec.teams):
-        n = sizes[i]
-        n_maps = ti.actions.size**ti.observations.size
-        multisets = n_compositions(n, n_maps**spec.horizon)
-        rows.append((f"team {i} deviation multisets", multisets, candidate_budget))
-        if multisets > candidate_budget:
+        n_pol = (ti.actions.size**ti.observations.size) ** spec.horizon
+        n_sets = n_compositions(sizes[i], n_pol)
+        rows.append((f"team {i} deviation multisets", n_sets, candidate_budget))
+        if n_sets > candidate_budget:
             continue
-        opp, _, opp_law = base_classes[1 - i]
-        work = 0
-        for t in range(spec.horizon):
-            cells = collections.Counter(_live_cells(_stage_map_laws(spec, i, t)).tolist())
-            factors = {
-                s: ([1] + [_class_rows(spec, i, k, s, t) for k in range(1, n + 1)], c * n_maps ** (spec.horizon - 1))
-                for s, c in cells.items()
-            }
-            opp_rows = _class_rows(spec, opp, sizes[opp], int(_live_cells(opp_law[0])[t]), t)
-            work += _stage_passes(spec, t) * opp_rows * _multiset_rows(n, factors)
-        required = _chain_work(spec, base_classes) + spec.n_world * work
+        required = _chain_work(spec, base_classes, branch)
+        chunks = _deviation_chunks(spec, i, sizes, [base_classes[1 - i]], branch)
+        while required <= DYN_EXACT_PATH_BUDGET and (classes := next(chunks, None)) is not None:
+            required += _chain_work(spec, classes, branch)
         rows.append((f"team {i} exact chain rows", required, DYN_EXACT_PATH_BUDGET))
     return rows
 
@@ -937,10 +892,11 @@ def exact_dynamic_cost(
     path_budget caps the rows it may build (_chain_work), checked before
     anything is built.
     """
+    check_team(team)
     sizes = (int(team_sizes[0]), int(team_sizes[1]))
     pols = [_seat_policies(spec, i, list(seat_pols[i]), sizes[i]) for i in range(2)]
     classes = _team_classes(spec, 0, pols[0]) + _team_classes(spec, 1, pols[1])
-    required = _chain_work(spec, classes)
+    required = _chain_work(spec, classes, _moves_branch(spec))
     if required > path_budget:
         raise BudgetError("exact dynamic chain rows", required, path_budget)
     return float(_chain_costs(spec, team, classes)[0])
@@ -960,19 +916,33 @@ def _det_policy_laws(spec: DynamicGameSpec, team: int) -> np.ndarray:
 
 
 def _multisets_by_sizes(n_pol: int, n: int) -> dict[tuple[int, ...], np.ndarray]:
-    """Multisets of n seats on n_pol policies, grouped by their class sizes.
+    """The rows of core.counts.multisets(n, n_pol), grouped by class sizes.
 
     Keys are the seat counts of the policies used, largest first; each
-    row lists a multiset's policies in that order, ties by index.
+    row lists a multiset's policies in that order, ties by index. Groups
+    come in order of their first multiset, rows in multiset order.
     """
-    groups: dict[tuple[int, ...], list] = {}
-    for combo in itertools.combinations_with_replacement(range(n_pol), n):
-        runs = sorted((-len(list(g)), m) for m, g in itertools.groupby(combo))
-        groups.setdefault(tuple(-c for c, _ in runs), []).append([m for _, m in runs])
-    return {k: np.array(v, dtype=np.int64) for k, v in groups.items()}
+    sets = multisets(n, n_pol)
+    starts = np.ones(sets.shape, dtype=bool)
+    starts[:, 1:] = sets[:, 1:] != sets[:, :-1]
+    row, col = np.nonzero(starts)  # each class's first seat, row by row
+    slot = np.arange(len(row)) - np.searchsorted(row, row)  # the class's place in its row
+    size = np.zeros((len(sets), min(n, n_pol)), dtype=np.int64)
+    pol = np.full(size.shape, n_pol, dtype=np.int64)
+    size[row, slot] = np.diff(row * n + col, append=sets.size)
+    pol[row, slot] = sets[row, col]
+    by = np.argsort(pol - size * n_pol, axis=1)  # most seats first, ties by index, empty slots last
+    size, pol = np.take_along_axis(size, by, 1), np.take_along_axis(pol, by, 1)
+    order = np.lexsort(size.T[::-1])  # stable: equal sizes keep multiset order
+    cuts = np.flatnonzero((size[order[1:]] != size[order[:-1]]).any(axis=1)) + 1
+    groups = {}
+    for rows in sorted(np.split(order, cuts), key=lambda rows: rows[0]):
+        seats = size[rows[0]][size[rows[0]] > 0]
+        groups[tuple(seats.tolist())] = pol[rows, : len(seats)]
+    return groups
 
 
-def _held_rows(spec: DynamicGameSpec, classes) -> int:
+def _held_rows(spec: DynamicGameSpec, classes, branch) -> int:
     """Most chain rows _chain_costs holds at once for one candidate of
     `classes`, each class at its most live cells over the candidates.
 
@@ -985,41 +955,42 @@ def _held_rows(spec: DynamicGameSpec, classes) -> int:
     k - s seats of that class. So a split's rows before their merge are
     that product with the class's next-state factor n_compositions(k, X)
     replaced by the largest n_compositions(k - s, X) * n_compositions(s,
-    X). The passes that _stage_passes counts run one after another on
+    X). The passes that _chain_work counts run one after another on
     merged rows, so they add nothing to the rows held at once.
     """
     most = 0
     for t in range(spec.horizon):
         sized = [(j, k, int(_live_cells(law).max(axis=0)[t])) for j, k, law in classes]
-        rows = math.prod(_class_rows(spec, j, k, cells, t) for j, k, cells in sized)
+        rows = math.prod(_class_rows(spec, j, k, cells, t, branch) for j, k, cells in sized)
         most = max(most, rows)
         if t + 1 < spec.horizon:
             for j, k, _ in sized:
-                if _moves_branch(spec, j):
+                if branch[j]:
                     n_x = spec.teams[j].states.size
                     split = max(n_compositions(k - s, n_x) * n_compositions(s, n_x) for s in range(k + 1))
                     most = max(most, rows // n_compositions(k, n_x) * split)
     return most
 
 
-def _best_deviation_cost(spec, team, sizes, opp_classes) -> float:
-    """Least exact cost of `team` over the multisets of its deterministic
-    stage policies.
-
-    Each group of multisets with the same class sizes runs in chunks of
-    as many candidates as fit CHAIN_CHUNK_ROWS at _held_rows each.
-    Candidates of a chunk share their stage prefixes in the chain, so a
-    chunk holds at most that many rows at once.
-    """
+def _deviation_chunks(spec: DynamicGameSpec, team: int, sizes, opp_classes, branch):
+    """The classes of every chain call that scores `team`'s deviations
+    against opp_classes: each group of _multisets_by_sizes in chunks of
+    as many candidates as fit CHAIN_CHUNK_ROWS at _held_rows each. A
+    chunk's candidates share their stage prefixes in the chain, so it
+    holds at most that many rows at once."""
     det = _det_policy_laws(spec, team)
-    best = math.inf
     for seats, pols in _multisets_by_sizes(len(det), sizes[team]).items():
-        step = max(1, CHAIN_CHUNK_ROWS // _held_rows(spec, [(team, k, det) for k in seats] + opp_classes))
+        step = max(1, CHAIN_CHUNK_ROWS // _held_rows(spec, [(team, k, det) for k in seats] + opp_classes, branch))
         for lo in range(0, len(pols), step):
             chunk = pols[lo : lo + step]
-            classes = [(team, k, det[chunk[:, c]]) for c, k in enumerate(seats)] + opp_classes
-            best = min(best, float(_chain_costs(spec, team, classes).min()))
-    return best
+            yield [(team, k, det[chunk[:, c]]) for c, k in enumerate(seats)] + opp_classes
+
+
+def _best_deviation_cost(spec, team, sizes, opp_classes) -> float:
+    """Least exact cost of `team` over the multisets of its deterministic
+    stage policies, the least over the chain calls of _deviation_chunks."""
+    chunks = _deviation_chunks(spec, team, sizes, opp_classes, _moves_branch(spec))
+    return min(float(_chain_costs(spec, team, classes).min()) for classes in chunks)
 
 
 def dynamic_epsilon_estimate(
@@ -1041,11 +1012,13 @@ def dynamic_epsilon_estimate(
     policies on the count chain, batched by their class sizes, where
     multisets that agree up to a stage share their rows up to it;
     best_deviations stays (None, None). candidate_budget caps the
-    multisets and DYN_EXACT_PATH_BUDGET the chain rows per team
-    (_exact_work), both checked before anything is built; auto mode is
-    exact when both fit. Monte Carlo mode is a lower bound over symmetric
-    stage-kernel grids plus single-seat deterministic deviations, reported
-    with a combined CI halfwidth.
+    multisets and DYN_EXACT_PATH_BUDGET the chain rows per team, counted
+    per world point, stage and shared stage prefix of each chunk the
+    chain runs (_exact_work). Both are checked before any chain row is
+    built or any cost evaluated; auto mode is exact when both fit. Monte
+    Carlo mode is a lower bound over symmetric stage-kernel grids plus
+    single-seat deterministic deviations, reported with a combined CI
+    halfwidth.
     """
     sizes = (int(team_sizes[0]), int(team_sizes[1]))
     base = (pols[0], pols[1])

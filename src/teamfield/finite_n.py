@@ -33,8 +33,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core.costs import _scalar_views
-from .core.counts import compositions, n_compositions
-from .core.errors import BudgetError, ModelError
+from .core.counts import compositions, multiset_step, n_compositions
+from .core.errors import BudgetError, ModelError, check_team
 from .core.spaces import Kernel
 from .core.specs import StaticGameSpec
 from .mf_static import kernel_grid
@@ -224,8 +224,7 @@ def exact_cost(inst: FiniteGameInstance, p1: TeamPolicy, p2: TeamPolicy, team: i
     over the world point, every observation tuple, every mixture
     component and every action tuple.
     """
-    if team not in (0, 1):
-        raise ModelError(f"team index {team} out of range")
+    check_team(team)
     inst.check_exact_budget()
     own, opp = (p1, p2) if team == 0 else (p2, p1)
     return _contract(team_profile_law(inst, own, team), _class_values(inst, opp, team))
@@ -315,8 +314,7 @@ def mc_cost(
     """
     if reps < MIN_MC_REPS:
         raise ModelError(f"reps must be >= {MIN_MC_REPS}")
-    if team not in (0, 1):
-        raise ModelError(f"team index {team} out of range")
+    check_team(team)
     stream = _episode_streams(_seed_of(rng))
     samplers = (_team_sampler(inst, p1, 0), _team_sampler(inst, p2, 1))
     per_chunk = max(1, SIM_CHUNK_UNIFORMS // sum(_static_uniforms(inst, samplers)))
@@ -342,10 +340,10 @@ def _best_multiset(A: np.ndarray, values: np.ndarray, n: int) -> list[int]:
     its seats leave the grid point where it is, and a node of j seats on
     the other maps is scored on the grid box [0, j]^(U-1). A node of level
     j + 1 is a node of level j plus one seat on a map no lower than its
-    last one, so every multiset is met once and each law extends its
-    parent's. Levels stay sorted by seat counts, most seats on map 0
-    first, so equal values go to the lexicographically smallest profile
-    in map order.
+    last one (multiset_step), so every multiset is met once and each law
+    extends its parent's. Levels stay sorted by seat counts, most seats
+    on map 0 first, so equal values go to the lexicographically smallest
+    profile in map order.
     """
     M, n_w, n_u = A.shape
     if M == 1:
@@ -362,9 +360,7 @@ def _best_multiset(A: np.ndarray, values: np.ndarray, n: int) -> list[int]:
         best = min(best, (float(v[pick]), tuple(-counts[pick])))
         if j == n:
             break
-        kids = M - 1 - last  # children per node, in map order
-        par = np.repeat(np.arange(len(last)), kids)
-        last = np.arange(len(par)) - np.repeat(np.cumsum(kids) - kids, kids) + last[par]
+        par, last = multiset_step(last, M - 1)
         law = _add_seat(law[par], A[last])
         counts = counts[par]
         counts[np.arange(len(par)), last] += 1
@@ -382,8 +378,7 @@ def team_best_response_exact(
     goes through the same contraction as exact_cost, so a current policy
     with the winner's count law certifies exactly zero.
     """
-    if team not in (0, 1):
-        raise ModelError(f"team index {team} out of range")
+    check_team(team)
     inst.check_exact_budget((team,))
     values = _class_values(inst, opponent, team)
     maps, A = _det_map_laws(inst, team)

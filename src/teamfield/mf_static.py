@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .core.counts import compositions, n_compositions
-from .core.errors import BudgetError, ModelError
+from .core.errors import BudgetError, ModelError, check_team
 from .core.spaces import MASS_TOL, Kernel, ProbVec, tv_distance, _freeze
 from .core.specs import StaticGameSpec
 from .policies import BehavioralPolicy
@@ -73,9 +73,6 @@ class MeanFieldProfile:
             tv_distance(self.laws[team][w], other.laws[team][w]) for w in range(self.n_world)
         )
 
-    def max_tv(self, other: "MeanFieldProfile") -> float:
-        return max(self.team_tv(other, i) for i in range(2))
-
 
 @dataclass
 class MFEquilibrium:
@@ -89,6 +86,7 @@ class MFEquilibrium:
 
 def mean_field_action_law(spec: StaticGameSpec, team: int, b: BehavioralPolicy) -> np.ndarray:
     """Action law of the representative seat, one row per world point."""
+    check_team(team)
     t = spec.teams[team]
     rows = b.kernel.rows
     if rows.shape != (t.observations.size, t.actions.size):
@@ -150,6 +148,7 @@ def best_response_fixed_mf(
     index. A deterministic rule is always optimal because the objective is
     linear in each observation's action distribution.
     """
+    check_team(team)
     W = _score_matrix(spec, team, *_statistics(spec, mf.laws))
     picks = np.argmin(W, axis=1)
     value = float(W[np.arange(W.shape[0]), picks].sum())

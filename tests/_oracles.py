@@ -677,11 +677,24 @@ def candidate_chain_costs(spec, team, classes):
     return out
 
 
+def multisets_by_sizes(n_pol, n):
+    """Multisets of n seats on n_pol policies from
+    itertools.combinations_with_replacement, grouped by their class sizes
+    in order of first multiset: keys are the seat counts of the policies
+    used, largest first, and each row lists its policies in that order,
+    ties by index."""
+    groups = {}
+    for combo in itertools.combinations_with_replacement(range(n_pol), n):
+        runs = sorted((-len(list(g)), m) for m, g in itertools.groupby(combo))
+        groups.setdefault(tuple(-c for c, _ in runs), []).append([m for _, m in runs])
+    return {k: np.array(v, dtype=np.int64) for k, v in groups.items()}
+
+
 def candidate_dynamic_epsilon(spec, team_sizes, pols):
     """Exact dynamic epsilon over multisets of deterministic stage
     policies, every multiset of a size group scored in one call of
     candidate_chain_costs."""
-    from teamfield.dynamic import _det_policy_laws, _multisets_by_sizes, _team_classes
+    from teamfield.dynamic import _det_policy_laws, _team_classes
 
     sizes = (int(team_sizes[0]), int(team_sizes[1]))
     eps = []
@@ -692,7 +705,7 @@ def candidate_dynamic_epsilon(spec, team_sizes, pols):
         det = _det_policy_laws(spec, i)
         best = min(
             float(candidate_chain_costs(spec, i, [(i, k, det[picks[:, c]]) for c, k in enumerate(seats)] + opp).min())
-            for seats, picks in _multisets_by_sizes(len(det), sizes[i]).items()
+            for seats, picks in multisets_by_sizes(len(det), sizes[i]).items()
         )
         eps.append(cur - best)
     return tuple(eps)

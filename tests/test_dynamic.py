@@ -694,6 +694,10 @@ def test_exact_budgets_raise_before_any_cost_or_transition_call(monkeypatch):
         dynamic_epsilon_estimate(spec, (40, 40), (pol, pol), mode="exact")
     assert info.value.what == "team 0 exact chain rows"
     assert info.value.required > DYN_EXACT_PATH_BUDGET
+    # at N=9 the base pair fits, and the deviation chunks' rows pass the budget
+    with pytest.raises(BudgetError) as info:
+        dynamic_epsilon_estimate(spec, (9, 9), (pol, pol), mode="exact")
+    assert info.value.what == "team 0 exact chain rows"
     with pytest.raises(BudgetError) as info:
         dynamic_epsilon_estimate(spec, (3, 3), (pol, pol), mode="exact", candidate_budget=19)
     assert (info.value.what, info.value.required) == ("team 0 deviation multisets", 20)
@@ -710,14 +714,24 @@ def test_chain_work_counts_multisets_and_rows():
 
     spec = load_spec(CROWD)
     pol = StagePolicy.uniform(spec, 0)
-    # 4 deterministic stage policies; blind seats put one action per state,
-    # the uniform opponent both, and the copy rule never branches: at N=2,
-    # stage 0 has sum over multisets of prod(k+1) = C(9, 7) = 36 team
-    # configurations times C(5, 3) = 10 opponent ones, and so has stage 1
+    # 4 deterministic stage policies, 2 stage maps a stage; blind seats put
+    # one action per state (2 live cells), the uniform opponent both
+    # actions (4 live cells), and the copy rule never branches, so one
+    # pass a stage. The base pair: 2 stages of C(5, 3) = 10 configurations
+    # per team, 200 rows. At N=2 the 10 multisets run in two chunks, one
+    # per size group, and C(k + 1, k) = k + 1 configurations per class:
+    # - (2,): policies 0-3 share 2 stage-0 prefixes, 3 rows each, and
+    #   are 4 prefixes of 3 rows at stage 1: 6 + 12;
+    # - (1, 1): the 6 pairs share 3 stage-0 prefixes (both on map 0,
+    #   one on each, both on map 1), 2 * 2 rows each, and are 6 prefixes
+    #   of 4 rows at stage 1: 12 + 24.
+    # So 18 stage-0 and 36 stage-1 team configurations, each times the
+    # opponent's 10: 200 + 54 * 10 = 740 rows. Counting every candidate
+    # at every stage gave 200 + 2 * 36 * 10 = 920.
     work = _exact_work(spec, (2, 2), (pol, pol), DYN_EXACT_CANDIDATE_BUDGET)
     base = 2 * math.comb(5, 3) ** 2
     assert work[0] == ("team 0 deviation multisets", 10, DYN_EXACT_CANDIDATE_BUDGET)
-    assert work[1] == ("team 0 exact chain rows", base + 2 * 36 * 10, DYN_EXACT_PATH_BUDGET)
+    assert work[1] == ("team 0 exact chain rows", base + (18 + 36) * 10, DYN_EXACT_PATH_BUDGET)
 
 
 def test_auto_mode_uses_the_shared_work_helper(monkeypatch):
@@ -742,11 +756,25 @@ def _dyn2_shaped():
     return random_dynamic_spec(np.random.default_rng(6), 3, 3, 2, 2, "mean-field-mixture"), (1, 1)
 
 
-@pytest.mark.parametrize("case", ["crowd", "chain", "mixture", "dyn2"])
+# random specs with mean-field-mixture transitions, whose moves branch:
+# (states, actions, observations, world points), team sizes, horizon
+_MIXTURE_CASES = [
+    ((2, 2, 1, 1), (2, 2), 2),
+    ((2, 2, 2, 1), (2, 1), 2),
+    ((3, 2, 1, 2), (1, 2), 2),
+    ((2, 3, 1, 1), (2, 2), 2),
+    ((3, 2, 1, 1), (3, 1), 2),
+    ((2, 2, 1, 2), (2, 2), 3),
+    ((2, 2, 2, 2), (1, 1), 3),
+    ((3, 3, 1, 1), (1, 2), 2),
+]
+
+
+@pytest.mark.parametrize("case", ["crowd", "chain", "copies", "mixture", "dyn2", *range(len(_MIXTURE_CASES))])
 def test_chain_builds_no_more_rows_than_its_budget_counts(monkeypatch, case):
-    # the rows whose team totals the chain groups to key its tables, and
-    # the rows its moves merge together, each stay within the row count
-    # the budget checks
+    # per team, the rows whose team totals the chain groups to key its
+    # tables, and the rows its moves merge together, each stay within the
+    # row count the budget checks for that team
     import teamfield.dynamic as dynamic
 
     if case == "mixture":
@@ -754,18 +782,44 @@ def test_chain_builds_no_more_rows_than_its_budget_counts(monkeypatch, case):
         spec, sizes = random_dynamic_spec(rng, 3, 2, 1, 2, "mean-field-mixture"), (2, 1)
     elif case == "dyn2":
         spec, sizes = _dyn2_shaped()
+    elif case == "copies":
+        spec, sizes = load_spec(CHAIN), (4, 4)
+    elif isinstance(case, int):
+        shape, sizes, horizon = _MIXTURE_CASES[case]
+        spec = random_dynamic_spec(np.random.default_rng(400 + case), *shape, "mean-field-mixture", horizon=horizon)
     else:
         spec, sizes = load_spec(CROWD if case == "crowd" else CHAIN), (4, 3)
     pols = (StagePolicy.uniform(spec, 0), StagePolicy.uniform(spec, 1))
-    keyed, grouped = [], []
-    tables, group = dynamic._keyed_tables, dynamic._group
-    monkeypatch.setattr(dynamic, "_keyed_tables", lambda *a: keyed.append(a[3][0].shape[1]) or tables(*a))
-    monkeypatch.setattr(dynamic, "_group", lambda cols, radices: grouped.append(len(cols[0])) or group(cols, radices))
+    if isinstance(case, int):
+        rng = np.random.default_rng(500 + case)
+        pols = (random_stage_policy(rng, spec, 0), random_stage_policy(rng, spec, 1))
+    scoring, keyed, grouped = [], [0, 0], [0, 0]
+    chain, tables, group = dynamic._chain_costs, dynamic._keyed_tables, dynamic._group
+
+    def tracked_chain(spec, team, classes):
+        scoring.append(team)
+        return chain(spec, team, classes)
+
+    def tracked_tables(*a):
+        keyed[scoring[-1]] += a[3][0].shape[1]
+        return tables(*a)
+
+    def tracked_group(cols, radices):
+        grouped[scoring[-1]] += len(cols[0])
+        return group(cols, radices)
+
+    monkeypatch.setattr(dynamic, "_chain_costs", tracked_chain)
+    monkeypatch.setattr(dynamic, "_keyed_tables", tracked_tables)
+    monkeypatch.setattr(dynamic, "_group", tracked_group)
+    work = dynamic._exact_work(spec, sizes, pols, DYN_EXACT_CANDIDATE_BUDGET)
+    required = [r for what, r, _ in work if "rows" in what]
+    # counted in full: counting stops only past the budget
+    assert len(required) == 2 and max(required) <= DYN_EXACT_PATH_BUDGET
     dynamic_epsilon_estimate(spec, sizes, pols, mode="exact")
-    required = sum(r for what, r, _ in dynamic._exact_work(spec, sizes, pols, DYN_EXACT_CANDIDATE_BUDGET) if "rows" in what)
-    assert sum(keyed) <= required
-    # every keying groups its rows once; the rest are the moves' merges
-    assert sum(grouped) - sum(keyed) <= required
+    for i in range(2):
+        assert keyed[i] <= required[i]
+        # every keying groups its rows once; the rest are the moves' merges
+        assert grouped[i] - keyed[i] <= required[i]
 
 
 def _sure_opponent_spec():
@@ -813,14 +867,14 @@ def test_chain_holds_no_more_rows_at_once_than_its_chunk_bound(monkeypatch, case
         ][case]
         spec = random_dynamic_spec(rng, *shape)
         pols = (random_stage_policy(rng, spec, 0), random_stage_policy(rng, spec, 1))
-    assert any(dynamic._moves_branch(spec, j) for j in range(2))
+    assert any(dynamic._moves_branch(spec))
     calls, held = [], []
     chain, group = dynamic._chain_costs, dynamic._group
 
     def tracked_chain(spec, team, classes):
         held.clear()
         out = chain(spec, team, classes)
-        calls.append((team, len(out), max(held), len(out) * dynamic._held_rows(spec, classes)))
+        calls.append((team, len(out), max(held), len(out) * dynamic._held_rows(spec, classes, dynamic._moves_branch(spec))))
         return out
 
     monkeypatch.setattr(dynamic, "_chain_costs", tracked_chain)

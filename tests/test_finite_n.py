@@ -486,3 +486,44 @@ def test_size_pairs():
         size_pairs([0])
     with pytest.raises(ModelError):
         size_pairs([2], ratio=0.0)
+
+
+def _team_entry_points():
+    """Every public call that takes a team index, each as team -> call."""
+    from teamfield.dynamic import (
+        StagePolicy,
+        dynamic_best_response_fixed_flow,
+        exact_dynamic_cost,
+        mf_dynamic_cost,
+        propagate_mf_flow,
+    )
+    from teamfield.mf_static import MeanFieldProfile, best_response_fixed_mf, mf_cost
+
+    spec = load_spec(GAMES / "spread.json")
+    rule = _uniform_rule(spec.teams[0].observations.size, spec.teams[0].actions.size)
+    pol = TeamPolicy.symmetric_iid(rule)
+    inst = FiniteGameInstance(spec, (2, 2))
+    mf = MeanFieldProfile(laws=tuple(mean_field_action_law(spec, i, rule) for i in range(2)))
+    dyn = load_spec(GAMES / "crowd_avoidance.json")
+    stage = StagePolicy.uniform(dyn, 0)
+    flows = propagate_mf_flow(dyn, (stage, stage))
+    return {
+        "mean_field_action_law": lambda team: mean_field_action_law(spec, team, rule),
+        "mf_cost": lambda team: mf_cost(spec, team, rule, mf),
+        "best_response_fixed_mf": lambda team: best_response_fixed_mf(spec, team, mf),
+        "exact_cost": lambda team: exact_cost(inst, pol, pol, team),
+        "mc_cost": lambda team: mc_cost(inst, pol, pol, team, 100, 1),
+        "team_best_response_exact": lambda team: team_best_response_exact(inst, pol, team),
+        "mf_dynamic_cost": lambda team: mf_dynamic_cost(dyn, team, stage, flows),
+        "dynamic_best_response_fixed_flow": lambda team: dynamic_best_response_fixed_flow(dyn, team, flows),
+        "exact_dynamic_cost": lambda team: exact_dynamic_cost(dyn, (2, 3), ([stage] * 2, [stage] * 3), team),
+    }
+
+
+@pytest.mark.parametrize("team", [-1, 2])
+@pytest.mark.parametrize("entry", sorted(_team_entry_points()))
+def test_team_index_out_of_range_is_a_model_error(entry, team):
+    call = _team_entry_points()[entry]
+    with pytest.raises(ModelError, match=f"team index {team} out of range"):
+        call(team)
+    call(1)  # the same call at a valid index runs
