@@ -43,6 +43,14 @@ DEVIATION_KERNEL_BUDGET = 1_000_000
 GRID_BLOCK = 2**20  # grid candidates scored in one array pass
 TIE_SCREEN_SIZE = 4096  # most (weights, event) pairs the tie screen enumerates
 TIE_SCREEN_MARGIN = 1e-6  # above HiGHS's default primal feasibility tolerance, 1e-7
+# the HiGHS options that scipy's linprog(method="highs") sets; simplex strategy 1 is dual
+TIE_LP_OPTIONS = (
+    ("presolve", "on"),
+    ("highs_debug_level", 0),
+    ("simplex_strategy", 1),
+    ("output_flag", False),
+    ("log_to_console", False),
+)
 
 
 @dataclass(frozen=True)
@@ -369,6 +377,51 @@ def _tie_lp(Q: np.ndarray, ys: np.ndarray, us: np.ndarray, target: np.ndarray):
     return c, A_ub, b_ub, A_eq, np.ones(n_y)
 
 
+def _solve_tie_lp(c, A_ub, b_ub, A_eq, b_eq) -> np.ndarray:
+    """x >= 0 minimizing c @ x subject to A_ub x <= b_ub and A_eq x = b_eq.
+
+    HiGHS's dual simplex with presolve, given the model and options that
+    scipy's linprog(method="highs") gives it: the CSC matrix of the stacked
+    rows without explicit zeros, row bounds (-inf, b_ub] and [b_eq, b_eq],
+    column bounds [0, inf). A fresh solver per program, so no basis carries
+    over. Raises ModelError unless HiGHS reports an optimum, or when the
+    optimum fails linprog's feasibility check (the bounds and every row
+    within 10 sqrt(1e-9), no NaN).
+    """
+    from scipy.optimize._highspy import _core as highs
+
+    A = np.vstack((A_ub, A_eq))
+    m_ub, (m, n) = len(b_ub), A.shape
+    cols, rows = np.nonzero(A.T)  # column-major order, zeros dropped
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = m
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.searchsorted(cols, np.arange(n + 1)).astype(np.int32)
+    lp.a_matrix_.index_ = rows.astype(np.int32)
+    lp.a_matrix_.value_ = A.T[cols, rows]
+    lp.col_cost_ = c
+    lp.col_lower_ = np.zeros(n)
+    lp.col_upper_ = np.full(n, highs.kHighsInf)
+    lp.row_lower_ = np.concatenate((np.full(m_ub, -highs.kHighsInf), b_eq))
+    upper = lp.row_upper_ = np.concatenate((b_ub, b_eq))
+    solver, error = highs._Highs(), highs.HighsStatus.kError
+    ran = all(solver.setOptionValue(*option) != error for option in TIE_LP_OPTIONS)
+    ran = ran and solver.passModel(lp) != error and solver.run() != error
+    status = solver.getModelStatus()
+    if not ran or status != highs.HighsModelStatus.kOptimal:
+        raise ModelError(f"tie linear program failed: {solver.modelStatusToString(status)}")
+    solution = solver.getSolution()
+    x = np.array(solution.col_value)
+    slack = upper - solution.row_value
+    tol = 10 * math.sqrt(1e-9)
+    # every comparison below fails on NaN
+    rows_hold = (slack[:m_ub] >= -tol).all() and (np.abs(slack[m_ub:]) <= tol).all()
+    if not ((x >= -tol).all() and rows_hold) or math.isnan(solver.getObjectiveValue()):
+        raise ModelError(f"tie linear program failed: the optimum misses a constraint by more than {tol:.2E}")
+    return x
+
+
 def _tie_rule(
     spec: StaticGameSpec,
     team: int,
@@ -384,23 +437,21 @@ def _tie_rule(
     When the screen family (from _tie_screen, or None for no screen)
     already bounds the distance below by resolution + TIE_SCREEN_MARGIN,
     the candidate is rejected without the linear program; every rule
-    returned still comes from HiGHS. The program is always feasible and
-    bounded, so a solver failure raises ModelError.
+    returned still comes from HiGHS. The program goes to HiGHS's dual
+    simplex with presolve, with the model and options of scipy's
+    linprog(method="highs") (see _solve_tie_lp). It is always feasible and
+    bounded, so a result that is not optimal, or an optimum that fails
+    linprog's feasibility check, raises ModelError.
     """
-    from scipy.optimize import linprog
-
     Q = spec.teams[team].obs_kernel
     if screen is not None and _tie_bound(Q, allowed, target, screen) >= resolution + TIE_SCREEN_MARGIN:
         return None
     ys, us = np.nonzero(allowed)
-    c, A_ub, b_ub, A_eq, b_eq = _tie_lp(Q, ys, us, target)
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=[(0, None)] * len(c), method="highs")
-    if not res.success:
-        raise ModelError(f"tie linear program failed: {res.message}")
-    if not res.x[-1] < resolution:
+    x = _solve_tie_lp(*_tie_lp(Q, ys, us, target))
+    if not x[-1] < resolution:
         return None
     rows = np.zeros(allowed.shape)
-    rows[ys, us] = np.where(res.x[: len(ys)] < 0.0, 0.0, res.x[: len(ys)])
+    rows[ys, us] = np.where(x[: len(ys)] < 0.0, 0.0, x[: len(ys)])
     rows /= rows.sum(axis=1, keepdims=True)
     return rows
 

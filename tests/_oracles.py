@@ -403,14 +403,21 @@ def row_loop_profile_init(profile):
                 raise ModelError("mean field row: " + "; ".join(bad))
 
 
+def tie_lp_linprog(c, A_ub, b_ub, A_eq, b_eq):
+    """scipy's linprog(method="highs") on a tie LP, x >= 0: the reference
+    that mf_static._solve_tie_lp hands the same model and options to HiGHS
+    without the wrapper."""
+    from scipy.optimize import linprog
+
+    return linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=[(0, None)] * len(c), method="highs")
+
+
 def _grid_candidate_rules(spec, laws, resolution, tie_tol):
     """Rules per team for one mean-field candidate, or None.
 
     Without ties the induced law is forced and checked directly; with
     ties feasibility is a small linear program over the argmin sets.
     """
-    from scipy.optimize import linprog
-
     rules = []
     for i in range(2):
         Q = spec.teams[i].obs_kernel
@@ -430,7 +437,7 @@ def _grid_candidate_rules(spec, laws, resolution, tie_tol):
         for y in range(n_y):
             allowed[y, tie_sets[y]] = True
         c, A_ub, b_ub, A_eq, b_eq, var_index = tie_lp_loops(Q, allowed, target)
-        res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=[(0, None)] * len(c), method="highs")
+        res = tie_lp_linprog(c, A_ub, b_ub, A_eq, b_eq)
         if not res.success or not res.x[-1] < resolution:
             return None
         rows = np.zeros((n_y, n_u))

@@ -180,6 +180,14 @@ def test_sweep_csv_round_trip(tmp_path):
 # ---------------------------------------------------------------- CLI
 
 
+def test_importing_the_package_and_cli_loads_no_scipy():
+    # scipy is imported where a solver needs it, so start-up stays cheap
+    probe = "import sys, teamfield, teamfield.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, cwd=str(REPO))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
 def test_cli_validate_accepts_bundled_games():
     for name in ("mf_mismatch.json", "coordination.json", "spread.json", "crowd_avoidance.json", "state_copies_action.json"):
         r = _run(["validate", "--spec", GAMES / name])

@@ -26,6 +26,7 @@ from tests._oracles import (
     grid_search_oracle,
     oracle_mismatch_maps,
     row_loop_profile_init,
+    tie_lp_linprog,
     tie_lp_loops,
 )
 from tests._paths import GAMES
@@ -315,35 +316,68 @@ def test_grid_search_rejects_a_negative_or_nonfinite_tie_tol():
             grid_fixed_point_search(spec, 0.1, tie_tol=tol)
 
 
-def _counting_linprog(monkeypatch):
-    """Wrap scipy's linprog; returns the list of results it gave, one per call."""
-    import scipy.optimize
+def _counting_tie_lps(monkeypatch):
+    """Wrap the tie LP solver; returns the list of solutions it gave, one per call."""
+    real, results = mf_static._solve_tie_lp, []
 
-    real, results = scipy.optimize.linprog, []
-
-    def counted(*args, **kwargs):
-        results.append(real(*args, **kwargs))
+    def counted(*lp):
+        results.append(real(*lp))
         return results[-1]
 
-    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    monkeypatch.setattr(mf_static, "_solve_tie_lp", counted)
     return results
 
 
+def _stub_highs(monkeypatch, **overrides):
+    """Replace HiGHS's solver class by one that answers the methods named in
+    `overrides` (functions of the real solver and the call's arguments) and
+    delegates the rest."""
+    from scipy.optimize._highspy import _core
+
+    real = _core._Highs
+
+    class Stub:
+        def __init__(self):
+            self.real = real()
+
+        def __getattr__(self, name):
+            if name in overrides:
+                return lambda *args: overrides[name](self.real, *args)
+            return getattr(self.real, name)
+
+    monkeypatch.setattr(_core, "_Highs", Stub)
+
+
 def test_a_failed_tie_lp_is_an_error_not_a_lost_hit(monkeypatch, capsys):
-    import scipy.optimize
+    from scipy.optimize._highspy import _core
 
     from teamfield import cli
 
-    failed = scipy.optimize.OptimizeResult(x=None, fun=None, success=False, status=4, message="numerical trouble")
-    monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: failed)
-    with pytest.raises(ModelError, match="tie linear program failed: numerical trouble"):
+    _stub_highs(monkeypatch, getModelStatus=lambda real: _core.HighsModelStatus.kSolveError)
+    with pytest.raises(ModelError, match="tie linear program failed: Solve error"):
         grid_fixed_point_search(load_spec(COORDINATION), 0.5)
     assert cli.main(["grid-search", "--spec", str(COORDINATION), "--resolution", "0.1"]) == 1
-    assert "tie linear program failed: numerical trouble" in capsys.readouterr().err
+    assert "tie linear program failed: Solve error" in capsys.readouterr().err
+
+
+def test_an_optimum_that_breaks_an_equality_row_is_an_error_not_a_hit(monkeypatch):
+    spec = load_spec(COORDINATION)
+    assert grid_fixed_point_search(spec, 0.5)
+
+    def broken(real):
+        # HiGHS still reports optimal; the last row, an observation's
+        # rule summing to one, reads 1e-3 off
+        solution = real.getSolution()
+        solution.row_value = solution.row_value[:-1] + [solution.row_value[-1] + 1e-3]
+        return solution
+
+    _stub_highs(monkeypatch, getSolution=broken)
+    with pytest.raises(ModelError, match="tie linear program failed: the optimum misses a constraint"):
+        grid_fixed_point_search(spec, 0.5)
 
 
 def test_tie_screen_bounds_the_lp_optimum_from_below(monkeypatch):
-    results = _counting_linprog(monkeypatch)
+    results = _counting_tie_lps(monkeypatch)
     rng = np.random.default_rng(17)
     skipped = 0
     for _ in range(40):
@@ -357,7 +391,7 @@ def test_tie_screen_bounds_the_lp_optimum_from_below(monkeypatch):
             screen = mf_static._tie_screen(spec.n_world, n_u)
             bound = mf_static._tie_bound(t.obs_kernel, allowed, target, screen)
             mf_static._tie_rule(spec, team, allowed, target, 1.0, None)
-            optimum = results[-1].x[-1]
+            optimum = results[-1][-1]
             assert bound <= optimum + 1e-9
             for resolution in (0.1, 0.25, 0.5):
                 if bound >= resolution + mf_static.TIE_SCREEN_MARGIN:
@@ -375,13 +409,79 @@ def test_bench_like_ties_match_the_oracle_with_fewer_lps(monkeypatch):
     verdicts = []
     real = mf_static._grid_verdicts
     monkeypatch.setattr(mf_static, "_grid_verdicts", lambda *args: verdicts.append(real(*args)) or verdicts[-1])
-    results = _counting_linprog(monkeypatch)
+    results = _counting_tie_lps(monkeypatch)
     _assert_same_hits(grid_fixed_point_search(spec, 0.1), ref)
     # at most the visited tied (candidate, team) pairs: every passing candidate
     # visits team 0's tie, and team 1's at least where team 0 is untied
     (pass0, tied0, _), (pass1, tied1, _) = verdicts
     visited = int((pass0 & pass1 & (tied0 | tied1)).sum())
     assert 0 < len(results) < visited
+
+
+def _highs_lp_arrays(lp):
+    """The model HiGHS was handed, read back from the binding, in the
+    dtypes that scipy.sparse and linprog build it in."""
+    m = lp.a_matrix_
+    return (
+        (lp.num_col_, lp.num_row_, m.num_col_, m.num_row_, m.format_),
+        np.asarray(m.start_, dtype=np.int32),
+        np.asarray(m.index_, dtype=np.int32),
+        np.asarray(m.value_, dtype=np.float64),
+        *(np.asarray(v, dtype=np.float64) for v in (lp.col_cost_, lp.col_lower_, lp.col_upper_)),
+        *(np.asarray(v, dtype=np.float64) for v in (lp.row_lower_, lp.row_upper_)),
+    )
+
+
+def _highs_options(solver):
+    opts = solver.getOptions()
+    return {name: getattr(opts, name) for name in dir(opts) if not name.startswith("_")}
+
+
+def test_tie_lps_hand_highs_what_linprog_hands_it(monkeypatch):
+    """Every tie LP of the grid searches below, and 240 random ones, gives
+    HiGHS the model and options that linprog(method="highs") gives it, byte
+    for byte, and comes back with linprog's x, byte for byte."""
+    import scipy.sparse
+
+    lps = []
+    real_solve = mf_static._solve_tie_lp
+    monkeypatch.setattr(mf_static, "_solve_tie_lp", lambda *lp: lps.append(lp) or real_solve(*lp))
+    for seed in (1, 3, 7):
+        for spec in (noisy_spec(seed), tri_spec(seed)):
+            grid_fixed_point_search(spec, 0.1)
+    for name in ("spread", "coordination", "mf_mismatch"):
+        grid_fixed_point_search(load_spec(GAMES / f"{name}.json"), 0.05)
+    searched = len(lps)
+    rng = np.random.default_rng(23)
+    while len(lps) < searched + 240:
+        spec = random_static_spec(rng)
+        for t in spec.teams:
+            n_y, n_u = t.observations.size, t.actions.size
+            allowed = rng.random((n_y, n_u)) < 0.6
+            allowed[np.arange(n_y), rng.integers(0, n_u, n_y)] = True
+            grid = mf_static.simplex_grid(n_u, int(rng.choice([2, 4, 10])))
+            target = grid[rng.integers(0, len(grid), spec.n_world)]
+            lps.append(mf_static._tie_lp(t.obs_kernel, *np.nonzero(allowed), target))
+
+    models = []  # (solver, model) per model handed to HiGHS
+    _stub_highs(monkeypatch, passModel=lambda real, lp: models.append((real, lp)) or real.passModel(lp))
+    for c, A_ub, b_ub, A_eq, b_eq in lps:
+        x = real_solve(c, A_ub, b_ub, A_eq, b_eq)
+        ref = tie_lp_linprog(c, A_ub, b_ub, A_eq, b_eq)
+        (ours, our_lp), (theirs, their_lp) = models
+        models.clear()
+        got, want = _highs_lp_arrays(our_lp), _highs_lp_arrays(their_lp)
+        assert got[0] == want[0]
+        for g, w in zip(got[1:], want[1:]):
+            assert g.tobytes() == w.tobytes()
+        A = scipy.sparse.csc_array(np.vstack((A_ub, A_eq)))
+        cols = (c, np.zeros(len(c)), np.full(len(c), np.inf))
+        rows = (np.concatenate((np.full(len(b_ub), -np.inf), b_eq)), np.concatenate((b_ub, b_eq)))
+        for g, w in zip(got[1:], (A.indptr, A.indices, A.data, *cols, *rows)):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        assert _highs_options(ours) == _highs_options(theirs)
+        assert ref.success and x.tobytes() == ref.x.tobytes()
+    assert searched > 100
 
 
 def test_exploitability_matches_the_kernel_by_kernel_oracle():
