@@ -89,9 +89,10 @@ class _StaticCost:
     def value(self, omega0: int, u: int, s1, s2) -> float:
         return float(self.table(omega0, scalar_view(s1), scalar_view(s2), u + 1)[u])
 
-    def table(self, omega0: int, s1, s2, n_actions: int) -> np.ndarray:
+    def table(self, omega0, s1, s2, n_actions: int) -> np.ndarray:
         """Costs of shape (..., n_actions) of the first n_actions actions at
-        world point omega0, at scalar statistics s1, s2 broadcast to (...)."""
+        scalar statistics s1, s2 broadcast to (...), at world point omega0:
+        one index, or an index array broadcast with the statistics."""
         raise NotImplementedError
 
     def _own(self, s1, s2):
@@ -218,12 +219,11 @@ class TableCost(_StaticCost):
         s1, s2 = np.broadcast_arrays(np.asarray(s1, dtype=float), np.asarray(s2, dtype=float))
         lo1, hi1, t1 = self._locate(self.grid1, s1)
         lo2, hi2, t2 = self._locate(self.grid2, s2)
-        v = self.values[omega0]
-        u = np.arange(n_actions).reshape((-1,) + (1,) * s1.ndim)
-        c00 = v[u, lo1, lo2]
-        c01 = v[u, lo1, hi2]
-        c10 = v[u, hi1, lo2]
-        c11 = v[u, hi1, hi2]
+        v, u = self.values, np.arange(n_actions).reshape((-1,) + (1,) * s1.ndim)
+        c00 = v[omega0, u, lo1, lo2]
+        c01 = v[omega0, u, lo1, hi2]
+        c10 = v[omega0, u, hi1, lo2]
+        c11 = v[omega0, u, hi1, hi2]
         return _actions_last((1 - t1) * ((1 - t2) * c00 + t2 * c01) + t1 * ((1 - t2) * c10 + t2 * c11))
 
     def to_dict(self) -> dict:
@@ -272,7 +272,8 @@ class _StageCost:
 
     def table(self, omega0, shape, sx1, sx2, su1, su2) -> np.ndarray:
         """Stage costs of shape (keys..., X, U) = shape over the first X states
-        and U actions, at statistics with the leading key axes keys."""
+        and U actions, at statistics with the leading key axes keys, at world
+        point omega0: one index, or an index array broadcast against keys."""
         raise NotImplementedError
 
     def needs_identity_state_stat(self) -> bool:
@@ -352,7 +353,7 @@ class StaticActionStageCost(_StageCost):
 
     def table(self, omega0, shape, sx1, sx2, su1, su2):
         s1, s2 = (_scalar_views(s, len(shape) - 2)[..., None] for s in (su1, su2))
-        return np.broadcast_to(self._inner.table(omega0, s1, s2, shape[-1]), shape)
+        return np.broadcast_to(self._inner.table(np.asarray(omega0)[..., None], s1, s2, shape[-1]), shape)
 
 
 DYNAMIC_COST_FAMILIES = {

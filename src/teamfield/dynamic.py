@@ -25,9 +25,9 @@ reads the seat's state law from the flows themselves.
 
 Every path reads stage costs and transitions as tables over (state,
 action), filled by one helper, _stage_tables, for a batch of both
-teams' state and action laws: the flows at a stage and world point,
-the empirical measures of a simulated stage, or the distinct count
-totals of a chain stage.
+teams' state and action laws: the flows of a stage at every world point
+at once, the empirical measures of a simulated stage, or the distinct
+count totals of a chain stage.
 
 The exact finite-team engine is a forward Markov chain on count
 configurations: seats with equal stage kernels form a class, and a
@@ -53,7 +53,7 @@ import numpy as np
 
 from .core.counts import arrangements, compositions, multisets, n_compositions
 from .core.errors import BudgetError, ModelError, check_team
-from .core.spaces import Kernel, tv_distance, _freeze
+from .core.spaces import MASS_TOL, Kernel, tv_distance, _freeze
 from .core.specs import DynamicGameSpec
 from .finite_n import (
     MC_DEVIATION_BUDGET,
@@ -147,15 +147,38 @@ def _check_stage_policy(spec: DynamicGameSpec, team: int, pol: StagePolicy) -> N
             raise ModelError(f"team {team} stage policy kernel shape mismatch")
 
 
-def _action_given_state(spec: DynamicGameSpec, team: int, pol: StagePolicy, t: int) -> np.ndarray:
-    """P(u | x) at stage t: observation channel composed with the rule."""
-    return spec.teams[team].obs_kernels[t] @ pol.kernels[t].rows
+def _policy_rows(spec: DynamicGameSpec, team: int, pol: StagePolicy) -> np.ndarray:
+    """A checked stage policy's rules over the horizon as one array (H, Y, U)."""
+    _check_stage_policy(spec, team, pol)
+    return np.stack([k.rows for k in pol.kernels[: spec.horizon]])
 
 
-def _stage_tables(spec: DynamicGameSpec, w: int, t: int, laws):
+def _checked_rows(spec: DynamicGameSpec, team: int, rows: np.ndarray) -> np.ndarray:
+    """Team's stage rules (stages, Y, U) checked in one array pass, as
+    Kernel and _check_stage_policy check them one stage at a time and with
+    their messages: entries first, then the stage count and the shape.
+    Returns the first H stages."""
+    if not (np.abs(rows.sum(axis=2) - 1.0).max(initial=0.0) <= MASS_TOL and rows.min(initial=0.0) >= 0.0):
+        for r in rows:  # NaN fails both tests above; Kernel names the first bad stage's fault
+            Kernel(r)
+    if len(rows) < spec.horizon:
+        covers = f"team {team} stage policy covers {len(rows)} stages, horizon is {spec.horizon}"
+        raise ModelError(covers if len(rows) else "stage policy needs at least one stage")
+    if rows.shape[1:] != (spec.teams[team].observations.size, spec.teams[team].actions.size):
+        raise ModelError(f"team {team} stage policy kernel shape mismatch")
+    return rows[: spec.horizon]
+
+
+def _rule_laws(spec: DynamicGameSpec, team: int, rows: np.ndarray) -> np.ndarray:
+    """P(u | x) per stage of stage rules (H, Y, U): (H, X, U)."""
+    return np.stack(spec.teams[team].obs_kernels[: spec.horizon]) @ rows
+
+
+def _stage_tables(spec: DynamicGameSpec, w, t: int, laws):
     """Both teams' stage-cost and transition tables at stage t and world
     point w, given laws = ((mu_0, nu_0), (mu_1, nu_1)), each team's state
-    and action laws with the same leading key axes.
+    and action laws with the same leading key axes. w is one index or an
+    index array broadcast against the keys.
 
     Returns the cost tables (keys..., X, U) and the transition tables
     (keys..., X, U, X), or (X, U, X) for a statistic-free transition; the
@@ -174,30 +197,35 @@ def _marginals(joint: np.ndarray):
     return joint.sum(axis=-1), joint.sum(axis=-2)
 
 
-def _propagate(spec: DynamicGameSpec, pols: tuple[StagePolicy, StagePolicy]):
-    """Mean-field flows of both teams, with the stage tables they induce:
-    tables[t][w] is _stage_tables at stage t and world point w, the last
-    stage's costs included. See propagate_mf_flow."""
-    for i in range(2):
-        _check_stage_policy(spec, i, pols[i])
-    mu = [spec.teams[i].init_kernel.copy() for i in range(2)]  # (w, X)
-    out: list[list[np.ndarray]] = [[], []]
-    tables = []
+def _world_tables(spec: DynamicGameSpec, t: int, joints):
+    """_stage_tables at stage t at every world point at once, from both
+    teams' joint laws (W, X, U): each team's contiguous cost (W, X, U) and
+    transition (W, X, U, X) tables, the transitions None at the last stage."""
+    cost, trans = _stage_tables(spec, np.arange(spec.n_world), t, [_marginals(j) for j in joints])
+    cost = [np.ascontiguousarray(c) for c in cost]
+    if trans is not None:
+        trans = [p if p.ndim == 4 else np.repeat(p[None], spec.n_world, axis=0) for p in trans]
+    return cost, trans
+
+
+def _propagate(spec: DynamicGameSpec, rows):
+    """Mean-field flows of both teams from their stage rules (stages, Y, U),
+    checked by _checked_rows, with the stage tables they induce: per team
+    and stage, the joints and costs (W, X, U) and the transitions (W, X, U,
+    X), None at the last stage. See propagate_mf_flow."""
+    laws = [_rule_laws(spec, i, _checked_rows(spec, i, r)) for i, r in enumerate(rows)]  # (H, X, U)
+    mu = [ti.init_kernel for ti in spec.teams]  # (W, X)
+    stages = []  # (joints, costs, transitions) of both teams
     for t in range(spec.horizon):
-        joints_t = [mu[i][:, :, None] * _action_given_state(spec, i, pols[i], t)[None, :, :] for i in range(2)]
-        for i in range(2):
-            out[i].append(joints_t[i])
-        tables.append([_stage_tables(spec, w, t, [_marginals(j[w]) for j in joints_t]) for w in range(spec.n_world)])
-        if t + 1 == spec.horizon:
+        joint = [m[:, :, None] * law[t][None] for m, law in zip(mu, laws)]
+        c, p = _world_tables(spec, t, joint)
+        stages.append((joint, c, p or (None, None)))
+        if p is None:
             break
-        nxt = [np.zeros_like(mu[0]), np.zeros_like(mu[1])]
-        for w, (_, trans) in enumerate(tables[t]):
-            for i in range(2):
-                # a running sum over the (state, action) cells in order fixes the rounding
-                flow = joints_t[i][w][:, :, None] * trans[i]
-                nxt[i][w] = functools.reduce(np.add, flow.reshape(-1, flow.shape[-1]))
-        mu = nxt
-    return FlowProfile(joints=(tuple(out[0]), tuple(out[1]))), tables
+        # a running sum over the (state, action) cells in order fixes the rounding
+        flows = [(j[..., None] * p_i).reshape(spec.n_world, -1, p_i.shape[-1]) for j, p_i in zip(joint, p)]
+        mu = [np.add.accumulate(f, axis=1)[:, -1] for f in flows]
+    return [[[stage[k][i] for stage in stages] for i in range(2)] for k in range(3)]
 
 
 def propagate_mf_flow(
@@ -210,28 +238,14 @@ def propagate_mf_flow(
     seat's transition into stage t+1. Both teams advance simultaneously
     since each team's transition may read the other's flow.
     """
-    return _propagate(spec, pols)[0]
-
-
-def _team_tables(team: int, tables):
-    """One team's stage cost and transition tables, stacked over world
-    points from the per-(stage, world point) tables of _propagate.
-
-    cost[t][w] has shape (X, U); trans[t][w] has shape (X, U, X). The last
-    stage carries no transition table.
-    """
-    cost = [np.stack([c[team] for c, _ in stage]) for stage in tables]
-    trans = [None if stage[0][1] is None else np.stack([p[team] for _, p in stage]) for stage in tables]
-    return cost, trans
+    return FlowProfile(joints=_propagate(spec, [_policy_rows(spec, i, pols[i]) for i in range(2)])[0])
 
 
 def _flow_tables(spec: DynamicGameSpec, team: int, flows: FlowProfile):
-    """Stage cost and transition tables at frozen flows (see _team_tables)."""
-    tables = [
-        [_stage_tables(spec, w, t, [_marginals(j[t][w]) for j in flows.joints]) for w in range(spec.n_world)]
-        for t in range(spec.horizon)
-    ]
-    return _team_tables(team, tables)
+    """One team's stage cost and transition tables at frozen flows, per
+    stage as _propagate fills them (_world_tables)."""
+    tables = [_world_tables(spec, t, [j[t] for j in flows.joints]) for t in range(spec.horizon)]
+    return [c[team] for c, _ in tables], [None if p is None else p[team] for _, p in tables]
 
 
 def _stage_map_rows(spec: DynamicGameSpec, team: int) -> np.ndarray:
@@ -275,9 +289,12 @@ def mf_dynamic_cost(
     statistic inside costs and transitions comes from the frozen flows.
     """
     check_team(team)
-    _check_stage_policy(spec, team, pol)
-    laws = [_action_given_state(spec, team, pol, t)[None] for t in range(spec.horizon)]
-    return float(_policy_values(spec, team, laws, *_flow_tables(spec, team, flows))[0])
+    return _rules_value(spec, team, _policy_rows(spec, team, pol), *_flow_tables(spec, team, flows))
+
+
+def _rules_value(spec, team, rows, cost, trans) -> float:
+    """Value of stage rules (H, Y, U) at frozen-flow tables."""
+    return float(_policy_values(spec, team, _rule_laws(spec, team, rows)[:, None], cost, trans)[0])
 
 
 @dataclass
@@ -303,9 +320,13 @@ def dynamic_best_response_fixed_flow(
     and is flagged by exhaustive=False.
     """
     check_team(team)
+    return _best_response(spec, team, *_flow_tables(spec, team, flows), budget)
+
+
+def _best_response(spec, team, cost, trans, budget) -> DynBrResult:
+    """dynamic_best_response_fixed_flow at frozen-flow tables."""
     rows = _stage_map_rows(spec, team)
     stages = [_stage_map_laws(spec, team, t) for t in range(spec.horizon)]
-    cost, trans = _flow_tables(spec, team, flows)
     if len(rows) ** spec.horizon <= budget:
         values = _policy_values(spec, team, stages, cost, trans)
         best = int(np.argmin(values))
@@ -327,26 +348,24 @@ def dynamic_best_response_fixed_flow(
     return DynBrResult(StagePolicy.from_rows(rows[picks]), value, False)
 
 
-def _soft_stage_rows(spec, team, rows, flows, tables, tau):
-    """One-stage-deviation softmax update for every (stage, observation).
+def _soft_stage_rows(spec, team, rows, joints, cost, trans, tau):
+    """One-stage-deviation softmax update for every (stage, observation): (H, Y, U).
 
     Scores are posterior-weighted: continuation values come from one
     backward pass under the current rule with flow-frozen tables, and the
     seat's state law is the team's own state flow. That flow is the law
     under the current rule because damped_fixed_point always answers the
-    flows induced by the very rows it passes in. tables are the stage
-    tables _propagate filled at those flows, so nothing is refilled.
+    flows induced by the very rows it passes in. joints, cost and trans
+    are the team's flows and the stage tables _propagate filled at them,
+    so nothing is refilled.
     """
-    t_i = spec.teams[team]
+    obs = np.stack(spec.teams[team].obs_kernels[: spec.horizon])  # (H, X, Y)
     q = [None] * spec.horizon
-    laws = [(t_i.obs_kernels[t] @ rows[t])[None] for t in range(spec.horizon)]
-    _policy_values(spec, team, laws, *_team_tables(team, tables), q)
-    out = []
-    for t, obs in enumerate(t_i.obs_kernels[: spec.horizon]):
-        weight = spec.prior[:, None] * flows.joints[team][t].sum(axis=-1)  # (W, X)
-        score = obs.T @ (weight[..., None] * q[t][0]).sum(axis=0)
-        out.append(softmin_rows(score, obs.T @ weight.sum(axis=0), tau))
-    return out
+    _policy_values(spec, team, (obs @ rows)[:, None], cost, trans, q)  # the laws of _rule_laws
+    weight = spec.prior[:, None] * np.stack(joints).sum(axis=-1)  # (H, W, X)
+    score = obs.swapaxes(1, 2) @ (weight[..., None] * np.concatenate(q)).sum(axis=1)
+    mass = (obs.swapaxes(1, 2) @ weight.sum(axis=1)[..., None])[..., 0]
+    return softmin_rows(score, mass, tau)
 
 
 def solve_dynamic_mf_fixed_point(
@@ -357,43 +376,35 @@ def solve_dynamic_mf_fixed_point(
     Same scheme as the static solver: respond (softly) to the flows of
     the current pair, damp, anneal the temperature after each inner
     convergence. Each sweep fills the stage tables once, while it
-    propagates the flows, and both responses read them. The reported
-    best-response residual is always measured against the exhaustive
-    deterministic search when it fits the budget.
+    propagates the flows, and both responses read them; so do the final
+    residuals, at the flows of the last sweep. The reported best-response
+    residual is always measured against the exhaustive deterministic
+    search when it fits the budget.
     """
     if cfg is None:
         cfg = SolverConfig()
     cfg.check()
-    pols = [StagePolicy.uniform(spec, i) for i in range(2)]
-    if cfg.init_rows is not None:
-        pols = [StagePolicy.from_rows(cfg.init_rows[i]) for i in range(2)]
-        for i in range(2):
-            _check_stage_policy(spec, i, pols[i])
-    rows, (flows, _), iterations, settled = damped_fixed_point(
-        [[k.rows for k in p.kernels] for p in pols],
-        lambda rs: _propagate(spec, (StagePolicy.from_rows(rs[0]), StagePolicy.from_rows(rs[1]))),
-        lambda i, rows_i, field, tau: _soft_stage_rows(spec, i, rows_i, *field, tau),
+    init = cfg.init_rows
+    pols = [StagePolicy.uniform(spec, i) if init is None else StagePolicy.from_rows(init[i]) for i in range(2)]
+    rows, (joints, cost, trans), iterations, settled = damped_fixed_point(
+        [_policy_rows(spec, i, pols[i]) for i in range(2)],
+        lambda rs: _propagate(spec, rs),
+        lambda i, rows_i, field, tau: _soft_stage_rows(spec, i, rows_i, *(f[i] for f in field), tau),
         cfg,
     )
     policies = (StagePolicy.from_rows(rows[0]), StagePolicy.from_rows(rows[1]))
+    flows = FlowProfile(joints=joints)
     induced = propagate_mf_flow(spec, policies)
     consistency = tuple(flows.team_tv(induced, i) for i in range(2))
-    br = []
-    exhaustive = True
-    for i in range(2):
-        cur = mf_dynamic_cost(spec, i, policies[i], flows)
-        res = dynamic_best_response_fixed_flow(spec, i, flows)
-        br.append(cur - res.value)
-        exhaustive = exhaustive and res.exhaustive
-    converged = settled and max(consistency) < cfg.tol
+    best = [_best_response(spec, i, cost[i], trans[i], DYN_BR_BUDGET) for i in range(2)]
     return DynamicMFEquilibrium(
         policies=policies,
         flows=flows,
-        br_residual=(br[0], br[1]),
+        br_residual=tuple(_rules_value(spec, i, rows[i], cost[i], trans[i]) - best[i].value for i in range(2)),
         consistency_residual=consistency,
         iterations=iterations,
-        converged=converged,
-        br_exhaustive=exhaustive,
+        converged=settled and max(consistency) < cfg.tol,
+        br_exhaustive=all(b.exhaustive for b in best),
     )
 
 
@@ -434,8 +445,8 @@ def _simulate_episodes(spec, sizes, rules, stream, episodes):
     shaped (seats, Y, U). Each episode draws its whole block of uniforms
     from stream(e), its (seed, episode) stream, in one call and reads the
     columns in the order of _episode_uniforms, so an episode gets the same
-    draws alone or in any chunk. Stage tables are filled once per world
-    point that occurs, with the chunk's episodes there as keys. Returns
+    draws alone or in any chunk. Stage tables are filled once per stage,
+    the chunk's episodes as keys, each at its own world point. Returns
     the world points (E,), each team's costs (E,) and empirical joints
     (E, H, X, U).
     """
@@ -444,7 +455,6 @@ def _simulate_episodes(spec, sizes, rules, stream, episodes):
     cols = iter(np.split(r, np.cumsum(widths)[:-1], axis=1))
     n_ep = len(r)
     w0 = _inverse_cdf(np.cumsum(spec.prior), next(cols)[:, 0])
-    worlds = [(int(w), w0 == w) for w in np.unique(w0)]
     xs = [_inverse_cdf(np.cumsum(ti.init_kernel, axis=1)[w0][:, None], next(cols)) for ti in spec.teams]
     costs = [np.zeros(n_ep), np.zeros(n_ep)]
     emp = [np.zeros((n_ep, spec.horizon, ti.states.size, ti.actions.size)) for ti in spec.teams]
@@ -456,14 +466,7 @@ def _simulate_episodes(spec, sizes, rules, stream, episodes):
             cell = np.arange(n_ep)[:, None] * ti.states.size + xs[i]
             counts = np.bincount((cell * ti.actions.size + us[i]).ravel(), minlength=emp[i][:, t].size)
             emp[i][:, t] = counts.reshape(n_ep, ti.states.size, ti.actions.size) / sizes[i]
-        cost = [np.empty((n_ep, ti.states.size, ti.actions.size)) for ti in spec.teams]
-        trans = [np.empty((n_ep, ti.states.size, ti.actions.size, ti.states.size)) for ti in spec.teams]
-        for w, at in worlds:
-            c, p = _stage_tables(spec, w, t, [_marginals(e[at, t]) for e in emp])
-            for i in range(2):
-                cost[i][at] = c[i]
-                if p is not None:
-                    trans[i][at] = p[i]  # a statistic-free table is shared by every episode
+        cost, trans = _stage_tables(spec, w0, t, [_marginals(e[:, t]) for e in emp])
         for i in range(2):
             joint = emp[i][:, t].reshape(n_ep, -1)
             charge = joint * cost[i].reshape(n_ep, -1)
@@ -473,7 +476,9 @@ def _simulate_episodes(spec, sizes, rules, stream, episodes):
         if t + 1 == spec.horizon:
             break
         for i in range(2):
-            cum = np.cumsum(trans[i], axis=-1)[np.arange(n_ep)[:, None], xs[i], us[i]]
+            # a statistic-free table is shared by every episode
+            cum = np.cumsum(np.broadcast_to(trans[i], cost[i].shape + cost[i].shape[-2:-1]), axis=-1)
+            cum = cum[np.arange(n_ep)[:, None], xs[i], us[i]]
             xs[i] = _inverse_cdf(cum, next(cols))
     return w0, costs, emp
 
@@ -798,7 +803,7 @@ def _team_classes(spec: DynamicGameSpec, team: int, pols: Sequence[StagePolicy])
     """Group a team's seats by their stage kernels P(u | x): (team, seats, law) per class, in order of first seat."""
     groups: dict[bytes, list] = {}
     for p in pols:
-        law = np.stack([_action_given_state(spec, team, p, t) for t in range(spec.horizon)])
+        law = _rule_laws(spec, team, _policy_rows(spec, team, p))
         groups.setdefault(law.tobytes(), [law, 0])[1] += 1
     return [(team, k, law[None]) for law, k in groups.values()]
 

@@ -196,13 +196,15 @@ class SolverConfig:
 def damped_fixed_point(rows, induce, respond, cfg: SolverConfig):
     """Damped, annealed best-response iteration shared by both solvers.
 
-    rows[i] lists team i's row matrices: one for a static rule, one per
-    stage for a dynamic rule. Each sweep computes the field induce(rows),
-    replaces every matrix by its damped mix with respond(i, rows[i],
-    field, tau), and anneals tau geometrically down to smooth_floor once
-    the largest per-row TV update drops below tol. Returns the last rows,
-    the field they were answered against, the sweep count, and whether
-    the iteration settled at the floor temperature.
+    rows[i] holds team i's row matrices as one array (S, Y, U): S = 1 for
+    a static rule, one per stage for a dynamic rule. Each sweep computes
+    the field induce(rows), replaces team i's rows by their damped mix
+    with respond(i, rows[i], field, tau), an array of the same shape, and
+    anneals tau geometrically down to smooth_floor once the largest
+    per-row TV update, over both teams in one array pass each, drops below
+    tol. Returns the last rows, the field they were answered against, the
+    sweep count, and whether the iteration settled at the floor
+    temperature.
     """
     tau = cfg.smooth_init
     alpha = cfg.damping
@@ -210,15 +212,8 @@ def damped_fixed_point(rows, induce, respond, cfg: SolverConfig):
     settled = False
     while iterations < cfg.max_iters:
         frozen = induce(rows)
-        new_rows = []
-        update_tv = 0.0
-        for i in range(2):
-            team = []
-            for old, r in zip(rows[i], respond(i, rows[i], frozen, tau)):
-                nr = (1.0 - alpha) * old + alpha * r
-                update_tv = max(update_tv, max(tv_distance(a, b) for a, b in zip(nr, old)))
-                team.append(nr)
-            new_rows.append(team)
+        new_rows = [(1.0 - alpha) * rows[i] + alpha * respond(i, rows[i], frozen, tau) for i in range(2)]
+        update_tv = max(float((0.5 * np.abs(new - old).sum(axis=-1)).max()) for new, old in zip(new_rows, rows))
         rows = new_rows
         iterations += 1
         if update_tv < cfg.tol:
@@ -230,13 +225,14 @@ def damped_fixed_point(rows, induce, respond, cfg: SolverConfig):
 
 
 def softmin_rows(score: np.ndarray, mass: np.ndarray, tau: float) -> np.ndarray:
-    """Smoothed response rows to observation scores (Y, U) with observation
-    masses (Y,): the argmin row at tau <= 0, the uniform row where the mass
-    is 0, and otherwise the softmax of -score / mass at temperature tau.
+    """Smoothed response rows to observation scores (..., Y, U) with
+    observation masses (..., Y): the argmin row at tau <= 0, the uniform
+    row where the mass is 0, and otherwise the softmax of -score / mass at
+    temperature tau.
     """
-    n_u = score.shape[1]
+    n_u = score.shape[-1]
     if tau <= 0.0:
-        return np.eye(n_u)[np.argmin(score, axis=1)]
+        return np.eye(n_u)[np.argmin(score, axis=-1)]
     rows = np.full(score.shape, 1.0 / n_u)
     live = mass > 0.0
     z = -(score[live] / mass[live, None]) / tau
@@ -261,21 +257,19 @@ def solve_mf_fixed_point(spec: StaticGameSpec, cfg: Optional[SolverConfig] = Non
     cfg.check()
     rows = []
     for i, t in enumerate(spec.teams):
-        if cfg.init_rows is not None:
-            r = np.asarray(cfg.init_rows[i], dtype=float)
-            if r.shape != (t.observations.size, t.actions.size):
-                raise ModelError(f"init rows for team {i} have the wrong shape")
-            rows.append([r.copy()])
-        else:
-            rows.append([np.full((t.observations.size, t.actions.size), 1.0 / t.actions.size)])
+        shape = (t.observations.size, t.actions.size)
+        r = np.full(shape, 1.0 / t.actions.size) if cfg.init_rows is None else np.asarray(cfg.init_rows[i], dtype=float)
+        if r.shape != shape:
+            raise ModelError(f"init rows for team {i} have the wrong shape")
+        rows.append(r[None].copy())
 
     rows, mf, iterations, settled = damped_fixed_point(
         rows,
         lambda rs: _profile_from_rows(spec, [rs[0][0], rs[1][0]]),
-        lambda i, _rows, mf, tau: [_soft_response_rows(spec, i, mf, tau)],
+        lambda i, _rows, mf, tau: _soft_response_rows(spec, i, mf, tau)[None],
         cfg,
     )
-    (eq,) = _equilibria(spec, [rows[0][0][None], rows[1][0][None]], [l[None] for l in mf.laws], iterations)
+    (eq,) = _equilibria(spec, rows, [l[None] for l in mf.laws], iterations)
     eq.converged = settled and max(eq.consistency_residual) < cfg.tol
     return eq
 

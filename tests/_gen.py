@@ -191,6 +191,103 @@ def random_dynamic_spec(rng, n_states: int, n_actions: int, n_obs: int, n_world:
     return DynamicGameSpec.from_dict(doc)
 
 
+def bench_dynamic_spec(seed: int, k: int, horizon: int):
+    """The generated game of the dynamic benchmark workloads: the game
+    perfbench/workloads.py builds from np.random.default_rng([seed, k]).
+
+    3 states, 3 actions, 2 observations, 2 world points; seats pay for
+    occupying state 2, and each team's transition leans towards its own
+    state flow (mean-field mixture, weight 0.3).
+    """
+    from teamfield.core.specs import DynamicGameSpec
+
+    g = np.random.default_rng([seed, k])
+
+    def rows(n, m, floor):
+        raw = g.random((n, m)) + floor
+        return raw / raw.sum(axis=1, keepdims=True)
+
+    teams = []
+    for _ in range(2):
+        teams.append(
+            {
+                "states": 3,
+                "actions": 3,
+                "observations": 2,
+                "init_kernel": rows(2, 3, 0.3).tolist(),
+                "obs_model": rows(3, 2, 0.2).tolist(),
+                "transition": {
+                    "family": "mean-field-mixture",
+                    "params": {"weight": 0.3, "base": [rows(3, 3, 0.2).tolist() for _ in range(3)]},
+                },
+                "cost": {"family": "state-indicator", "params": {"state": 2}},
+                "stat_x": {"kind": "identity"},
+                "stat_u": {"kind": "identity"},
+            }
+        )
+    prior = rows(1, 2, 0.5)[0].tolist()
+    return DynamicGameSpec.from_dict({"kind": "dynamic", "world": 2, "prior": prior, "horizon": horizon, "teams": teams})
+
+
+def _world_table(team: int) -> dict:
+    """A static-action stage cost over a table whose values differ by world
+    point: the squared gap between the action and half the opponent's
+    statistic, shifted by 0.3 at world point 1, which also charges action 1
+    an extra 0.2 there."""
+    grid = [0.0, 0.5, 1.0]
+
+    def value(w, u, s1, s2):
+        return (u - 0.5 * (s2 if team == 0 else s1) - 0.3 * w) ** 2 + 0.2 * w * u
+
+    values = [[[[value(w, u, a, b) for b in grid] for a in grid] for u in range(2)] for w in range(2)]
+    return {"table": {"grid1": grid, "grid2": grid, "values": values}}
+
+
+WORLD_TABLE_DOC = {
+    "kind": "dynamic",
+    "world": 2,
+    "prior": [0.4, 0.6],
+    "horizon": 3,
+    "teams": [
+        {
+            "states": 2,
+            "actions": 2,
+            "observations": 2,
+            "init_kernel": [[0.8, 0.2], [0.3, 0.7]],
+            "obs_model": [[0.9, 0.1], [0.2, 0.8]],
+            "transition": {
+                "family": "mean-field-mixture",
+                "params": {"weight": 0.4, "base": [[[0.7, 0.3], [0.2, 0.8]], [[0.6, 0.4], [0.1, 0.9]]]},
+            },
+            "cost": {"family": "static-action", "params": _world_table(0)},
+            "stat_x": {"kind": "identity"},
+            "stat_u": {"kind": "mean-embedding", "embedding": [0.0, 1.0]},
+        },
+        {
+            "states": 2,
+            "actions": 2,
+            "observations": 2,
+            "init_kernel": [[0.5, 0.5], [0.9, 0.1]],
+            "obs_model": [[0.75, 0.25], [0.35, 0.65]],
+            "transition": {"family": "fixed", "params": {"rows": [[[0.9, 0.1], [0.4, 0.6]], [[0.5, 0.5], [0.2, 0.8]]]}},
+            "cost": {"family": "static-action", "params": _world_table(1)},
+            "stat_x": {"kind": "identity"},
+            "stat_u": {"kind": "mean-embedding", "embedding": [0.0, 1.0]},
+        },
+    ],
+}
+
+
+def world_table_spec():
+    """Hand-built W=2 game whose stage costs read the world point: both
+    teams pay a static-action table cost with different values per world
+    point, one team moving by a mean-field mixture, the other by a fixed
+    table."""
+    from teamfield.core.specs import DynamicGameSpec
+
+    return DynamicGameSpec.from_dict(WORLD_TABLE_DOC)
+
+
 def random_stage_policy(rng, spec, team: int, deterministic: bool = False):
     """A stage policy for one seat: random rows, or a random deterministic map per stage."""
     from teamfield.dynamic import StagePolicy

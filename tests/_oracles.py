@@ -12,9 +12,14 @@ permutations. None of it shares code with the package's count-class,
 count-chain, multiset, batched cost and batched sampling paths, which is
 the point. The exceptions are engines the package replaced and keeps
 pinned bit for bit: the row-by-row tie LP builder, the row-by-row
-mean-field profile check, and the count chain that ran every candidate
+mean-field profile check, the count chain that ran every candidate
 on rows of its own (candidate_chain_costs), which still calls the
-chain's split and grouping helpers.
+chain's split and grouping helpers, and the solver sweeps that damped
+one matrix at a time with one TV call per row
+(damped_fixed_point_loops) and, in the dynamic solver, built StagePolicy
+objects and filled the stage tables one (stage, world point) at a time
+(dynamic_solver_sweeps), which still call the package's table, backward
+induction and best-response helpers.
 """
 
 from __future__ import annotations
@@ -992,3 +997,168 @@ def episode_simulation(spec, team_sizes, seat_pols, reps, seed):
     stats = [_mean_ci(v) for v in vals]
     flows = [[acc[i][:, stage] / np.maximum(counts, 1.0)[:, None, None] for stage in range(horizon)] for i in range(2)]
     return (stats[0][0], stats[1][0]), (stats[0][1], stats[1][1]), flows, counts
+
+
+def damped_fixed_point_loops(rows, induce, respond, cfg):
+    """damped_fixed_point as it was before it ran on arrays: rows[i] lists
+    team i's row matrices, each matrix is damped on its own, and the update
+    TV is one tv_distance call per row."""
+    from teamfield.core.spaces import tv_distance
+
+    tau = cfg.smooth_init
+    alpha = cfg.damping
+    iterations = 0
+    settled = False
+    while iterations < cfg.max_iters:
+        frozen = induce(rows)
+        new_rows = []
+        update_tv = 0.0
+        for i in range(2):
+            team = []
+            for old, r in zip(rows[i], respond(i, rows[i], frozen, tau)):
+                nr = (1.0 - alpha) * old + alpha * r
+                update_tv = max(update_tv, max(tv_distance(a, b) for a, b in zip(nr, old)))
+                team.append(nr)
+            new_rows.append(team)
+        rows = new_rows
+        iterations += 1
+        if update_tv < cfg.tol:
+            if tau <= cfg.smooth_floor:
+                settled = True
+                break
+            tau = max(tau * cfg.smooth_anneal, cfg.smooth_floor)
+    return rows, frozen, iterations, settled
+
+
+def static_solver_sweeps(spec, cfg):
+    """solve_mf_fixed_point on damped_fixed_point_loops, one matrix per team."""
+    from teamfield.mf_static import _equilibria, _profile_from_rows, _soft_response_rows
+
+    rows = []
+    for i, t in enumerate(spec.teams):
+        if cfg.init_rows is not None:
+            rows.append([np.asarray(cfg.init_rows[i], dtype=float).copy()])
+        else:
+            rows.append([np.full((t.observations.size, t.actions.size), 1.0 / t.actions.size)])
+    rows, mf, iterations, settled = damped_fixed_point_loops(
+        rows,
+        lambda rs: _profile_from_rows(spec, [rs[0][0], rs[1][0]]),
+        lambda i, _rows, mf, tau: [_soft_response_rows(spec, i, mf, tau)],
+        cfg,
+    )
+    (eq,) = _equilibria(spec, [rows[0][0][None], rows[1][0][None]], [l[None] for l in mf.laws], iterations)
+    eq.converged = settled and max(eq.consistency_residual) < cfg.tol
+    return eq
+
+
+def _world_point_stage_tables(spec, t, joints_t):
+    """_stage_tables at stage t one world point at a time, from both teams'
+    joints (W, X, U) at that stage."""
+    from teamfield.dynamic import _marginals, _stage_tables
+
+    return [_stage_tables(spec, w, t, [_marginals(j[w]) for j in joints_t]) for w in range(spec.n_world)]
+
+
+def _stacked_team_tables(team, tables):
+    """One team's tables stacked over world points from tables[t][w]."""
+    cost = [np.stack([c[team] for c, _ in stage]) for stage in tables]
+    trans = [None if stage[0][1] is None else np.stack([p[team] for _, p in stage]) for stage in tables]
+    return cost, trans
+
+
+def world_point_tables(spec, team, joints):
+    """One team's stage tables filled one (stage, world point) at a time
+    from both teams' joints[i][t] of shape (W, X, U), stacked over world
+    points: cost[t] (W, X, U) and trans[t] (W, X, U, X), None at the last
+    stage."""
+    tables = [_world_point_stage_tables(spec, t, [j[t] for j in joints]) for t in range(spec.horizon)]
+    return _stacked_team_tables(team, tables)
+
+
+def _kernel_propagate(spec, pols):
+    """Flows of a StagePolicy pair, the stage tables filled one (stage,
+    world point) at a time and the flow advanced per world point by a
+    running sum over the (state, action) cells; returns flows[i][t] (W, X,
+    U) and each team's tables stacked over world points."""
+    import functools
+
+    from teamfield.dynamic import _check_stage_policy
+
+    for i in range(2):
+        _check_stage_policy(spec, i, pols[i])
+    mu = [spec.teams[i].init_kernel.copy() for i in range(2)]
+    out = [[], []]
+    tables = []
+    for t in range(spec.horizon):
+        joints_t = [mu[i][:, :, None] * (spec.teams[i].obs_kernels[t] @ pols[i].kernels[t].rows)[None] for i in range(2)]
+        for i in range(2):
+            out[i].append(joints_t[i])
+        tables.append(_world_point_stage_tables(spec, t, joints_t))
+        if t + 1 == spec.horizon:
+            break
+        nxt = [np.zeros_like(mu[0]), np.zeros_like(mu[1])]
+        for w, (_, trans) in enumerate(tables[t]):
+            for i in range(2):
+                flow = joints_t[i][w][:, :, None] * trans[i]
+                nxt[i][w] = functools.reduce(np.add, flow.reshape(-1, flow.shape[-1]))
+        mu = nxt
+    return out, [_stacked_team_tables(i, tables) for i in range(2)]
+
+
+def dynamic_solver_sweeps(spec, cfg):
+    """solve_dynamic_mf_fixed_point as it was before its sweeps ran on
+    arrays: every sweep builds per-Kernel StagePolicy objects, fills the
+    stage tables one (stage, world point) at a time and answers stage by
+    stage on damped_fixed_point_loops; the final residuals refill the
+    tables at the flows. Returns (rows, flows, br residuals, consistency
+    residuals, iterations, converged, br_exhaustive), rows[i] a list of
+    stage matrices and flows[i][t] of shape (W, X, U)."""
+    from teamfield.core.spaces import tv_distance
+    from teamfield.dynamic import (
+        DYN_BR_BUDGET,
+        StagePolicy,
+        _best_response,
+        _check_stage_policy,
+        _policy_values,
+    )
+    from teamfield.mf_static import softmin_rows
+
+    def respond(i, rows_i, field, tau):
+        flows, tables = field
+        t_i = spec.teams[i]
+        q = [None] * spec.horizon
+        laws = [(t_i.obs_kernels[t] @ rows_i[t])[None] for t in range(spec.horizon)]
+        _policy_values(spec, i, laws, *tables[i], q)
+        out = []
+        for t, obs in enumerate(t_i.obs_kernels[: spec.horizon]):
+            weight = spec.prior[:, None] * flows[i][t].sum(axis=-1)
+            score = obs.T @ (weight[..., None] * q[t][0]).sum(axis=0)
+            out.append(softmin_rows(score, obs.T @ weight.sum(axis=0), tau))
+        return out
+
+    def team_tv(a, b, i):
+        return max(tv_distance(x[w].ravel(), y[w].ravel()) for x, y in zip(a[i], b[i]) for w in range(spec.n_world))
+
+    pols = [StagePolicy.uniform(spec, i) for i in range(2)]
+    if cfg.init_rows is not None:
+        pols = [StagePolicy.from_rows(cfg.init_rows[i]) for i in range(2)]
+        for i in range(2):
+            _check_stage_policy(spec, i, pols[i])
+    rows, (flows, _), iterations, settled = damped_fixed_point_loops(
+        [[k.rows for k in p.kernels] for p in pols],
+        lambda rs: _kernel_propagate(spec, (StagePolicy.from_rows(rs[0]), StagePolicy.from_rows(rs[1]))),
+        respond,
+        cfg,
+    )
+    induced, _ = _kernel_propagate(spec, (StagePolicy.from_rows(rows[0]), StagePolicy.from_rows(rows[1])))
+    consistency = tuple(team_tv(flows, induced, i) for i in range(2))
+    br, exhaustive = [], True
+    for i in range(2):
+        t_i = spec.teams[i]
+        laws = [(t_i.obs_kernels[t] @ rows[i][t])[None] for t in range(spec.horizon)]
+        cur = float(_policy_values(spec, i, laws, *world_point_tables(spec, i, flows))[0])
+        res = _best_response(spec, i, *world_point_tables(spec, i, flows), DYN_BR_BUDGET)
+        br.append(cur - res.value)
+        exhaustive = exhaustive and res.exhaustive
+    converged = settled and max(consistency) < cfg.tol
+    return rows, flows, tuple(br), consistency, iterations, converged, exhaustive
