@@ -20,6 +20,7 @@ import json
 import sys
 from collections import Counter
 
+from . import finite_n
 from . import io as tfio
 from .core.errors import BudgetError, ModelError, SpecValidationError
 from .core.specs import DynamicGameSpec, StaticGameSpec
@@ -49,12 +50,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--damping", type=float, default=0.5)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iters", type=int, default=10_000)
-    p.add_argument("--smooth-init", type=float, default=1.0)
-    p.add_argument("--smooth-anneal", type=float, default=0.5)
-    p.add_argument("--smooth-floor", type=float, default=1e-3)
+    p.add_argument("--damping", type=float, default=SolverConfig.damping)
+    p.add_argument("--tol", type=float, default=SolverConfig.tol)
+    p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
+    p.add_argument(
+        "--smooth-init",
+        type=float,
+        default=1.0,
+        help=f"initial smoothing temperature; the library default is {SolverConfig.smooth_init}",
+    )
+    p.add_argument("--smooth-anneal", type=float, default=SolverConfig.smooth_anneal)
+    p.add_argument("--smooth-floor", type=float, default=SolverConfig.smooth_floor)
     p.add_argument("--seed", type=int, default=None, help="randomize the initial rules")
 
 
@@ -378,8 +384,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if getattr(args, "reps", None) is not None and args.reps < 100:
-        print("error: --reps must be >= 100", file=sys.stderr)
+    if getattr(args, "reps", None) is not None and args.reps < finite_n.MIN_MC_REPS:
+        print(f"error: --reps must be >= {finite_n.MIN_MC_REPS}", file=sys.stderr)
         return 1
     try:
         return _COMMANDS[args.command](args)

@@ -51,20 +51,12 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from . import finite_n
 from .core.counts import arrangements, compositions, multisets, n_compositions
 from .core.errors import BudgetError, ModelError, check_team
 from .core.spaces import MASS_TOL, Kernel, tv_distance, _freeze
 from .core.specs import DynamicGameSpec
-from .finite_n import (
-    MC_DEVIATION_BUDGET,
-    MIN_MC_REPS,
-    EpsilonReport,
-    SIM_CHUNK_UNIFORMS,
-    _episode_streams,
-    _mc_epsilon,
-    _seed_of,
-    sample_mean_ci,
-)
+from .finite_n import EpsilonReport, _episode_streams, _mc_epsilon, _seed_of, sample_mean_ci
 from .mf_static import SolverConfig, damped_fixed_point, kernel_grid, softmin_rows
 from .policies import _inverse_cdf
 
@@ -304,27 +296,23 @@ class DynBrResult:
     exhaustive: bool
 
 
-def dynamic_best_response_fixed_flow(
-    spec: DynamicGameSpec,
-    team: int,
-    flows: FlowProfile,
-    budget: int = DYN_BR_BUDGET,
-) -> DynBrResult:
+def dynamic_best_response_fixed_flow(spec: DynamicGameSpec, team: int, flows: FlowProfile) -> DynBrResult:
     """Best deterministic stage policy against frozen flows.
 
     Exhaustive over all per-stage observation-to-action maps when the
-    candidate count fits the budget (ties resolve to the lexicographically
-    first profile). Otherwise stage-wise coordinate descent from the
-    uniform-tie start, scoring every map of one stage per pass and taking
-    the first improvement in map order; its output is only a local optimum
-    and is flagged by exhaustive=False.
+    candidate count fits DYN_BR_BUDGET (ties resolve to the
+    lexicographically first profile). Otherwise stage-wise coordinate
+    descent from the uniform-tie start, scoring every map of one stage per
+    pass and taking the first improvement in map order; its output is only
+    a local optimum and is flagged by exhaustive=False.
     """
     check_team(team)
-    return _best_response(spec, team, *_flow_tables(spec, team, flows), budget)
+    return _best_response(spec, team, *_flow_tables(spec, team, flows), DYN_BR_BUDGET)
 
 
 def _best_response(spec, team, cost, trans, budget) -> DynBrResult:
-    """dynamic_best_response_fixed_flow at frozen-flow tables."""
+    """dynamic_best_response_fixed_flow at frozen-flow tables, exhaustive
+    when the candidates fit `budget`."""
     rows = _stage_map_rows(spec, team)
     stages = [_stage_map_laws(spec, team, t) for t in range(spec.horizon)]
     if len(rows) ** spec.horizon <= budget:
@@ -379,7 +367,7 @@ def solve_dynamic_mf_fixed_point(
     propagates the flows, and both responses read them; so do the final
     residuals, at the flows of the last sweep. The reported best-response
     residual is always measured against the exhaustive deterministic
-    search when it fits the budget.
+    search when it fits DYN_BR_BUDGET.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -496,12 +484,12 @@ def simulate_finite_n(
     stage, so deviating seats perturb what everyone else is charged for.
     Empirical flows are averaged per (stage, world point); world points
     that never occur keep zero flow and a zero count. Episodes run in
-    chunks of at most SIM_CHUNK_UNIFORMS uniforms (one episode when a
-    single one needs more), which bounds memory; costs and flows are
-    combined in episode order, so any chunk size gives the same report.
+    chunks of at most finite_n.SIM_CHUNK_UNIFORMS uniforms (one episode
+    when a single one needs more), which bounds memory; costs and flows
+    are combined in episode order, so any chunk size gives the same report.
     """
-    if reps < MIN_MC_REPS:
-        raise ModelError(f"reps must be >= {MIN_MC_REPS}")
+    if reps < finite_n.MIN_MC_REPS:
+        raise ModelError(f"reps must be >= {finite_n.MIN_MC_REPS}")
     sizes = (int(team_sizes[0]), int(team_sizes[1]))
     if min(sizes) < 1:
         raise ModelError("team sizes must be >= 1")
@@ -511,7 +499,7 @@ def simulate_finite_n(
         for i in range(2)
     ]
     stream = _episode_streams(_seed_of(rng))
-    per_chunk = max(1, SIM_CHUNK_UNIFORMS // sum(_episode_uniforms(spec, sizes)))
+    per_chunk = max(1, finite_n.SIM_CHUNK_UNIFORMS // sum(_episode_uniforms(spec, sizes)))
     counts = np.zeros(spec.n_world)
     flow_acc = [
         np.zeros((spec.n_world, spec.horizon, spec.teams[i].states.size, spec.teams[i].actions.size))
@@ -854,16 +842,16 @@ def _chain_work(spec: DynamicGameSpec, classes, branch) -> int:
     return spec.n_world * work
 
 
-def _exact_work(spec: DynamicGameSpec, sizes, base, candidate_budget: int) -> list[tuple[str, int, int]]:
+def _exact_work(spec: DynamicGameSpec, sizes, base) -> list[tuple[str, int, int]]:
     """What exact dynamic epsilon needs, as (what, required, budget) rows.
 
     Per team: the multisets of n deterministic stage policies,
-    C(n + M - 1, n) with M = (U^Y)^H; then, when those fit, the chain rows
-    (_chain_work) of the base pair and of every deviation chunk the chain
-    runs (_deviation_chunks), per world point, stage and shared stage
-    prefix. Counting stops once the rows pass DYN_EXACT_PATH_BUDGET, so a
-    figure over it is a lower bound. No chain row is built and no cost or
-    transition evaluated.
+    C(n + M - 1, n) with M = (U^Y)^H, against DYN_EXACT_CANDIDATE_BUDGET;
+    then, when those fit, the chain rows (_chain_work) of the base pair
+    and of every deviation chunk the chain runs (_deviation_chunks), per
+    world point, stage and shared stage prefix. Counting stops once the
+    rows pass DYN_EXACT_PATH_BUDGET, so a figure over it is a lower bound.
+    No chain row is built and no cost or transition evaluated.
     """
     rows = []
     branch = _moves_branch(spec)
@@ -871,8 +859,8 @@ def _exact_work(spec: DynamicGameSpec, sizes, base, candidate_budget: int) -> li
     for i, ti in enumerate(spec.teams):
         n_pol = (ti.actions.size**ti.observations.size) ** spec.horizon
         n_sets = n_compositions(sizes[i], n_pol)
-        rows.append((f"team {i} deviation multisets", n_sets, candidate_budget))
-        if n_sets > candidate_budget:
+        rows.append((f"team {i} deviation multisets", n_sets, DYN_EXACT_CANDIDATE_BUDGET))
+        if n_sets > DYN_EXACT_CANDIDATE_BUDGET:
             continue
         required = _chain_work(spec, base_classes, branch)
         chunks = _deviation_chunks(spec, i, sizes, [base_classes[1 - i]], branch)
@@ -887,23 +875,22 @@ def exact_dynamic_cost(
     team_sizes: tuple[int, int],
     seat_pols: tuple[Sequence[StagePolicy], Sequence[StagePolicy]],
     team: int,
-    path_budget: int = DYN_EXACT_PATH_BUDGET,
 ) -> float:
     """Exact expected team cost of the coupled finite system.
 
     Seats with equal stage kernels form a class, and the chain runs on the
     seat counts per (class, state): see _chain_costs. Its size grows with
     the count vectors of each class, polynomially in the class sizes;
-    path_budget caps the rows it may build (_chain_work), checked before
-    anything is built.
+    DYN_EXACT_PATH_BUDGET caps the rows it may build (_chain_work),
+    checked before anything is built.
     """
     check_team(team)
     sizes = (int(team_sizes[0]), int(team_sizes[1]))
     pols = [_seat_policies(spec, i, list(seat_pols[i]), sizes[i]) for i in range(2)]
     classes = _team_classes(spec, 0, pols[0]) + _team_classes(spec, 1, pols[1])
     required = _chain_work(spec, classes, _moves_branch(spec))
-    if required > path_budget:
-        raise BudgetError("exact dynamic chain rows", required, path_budget)
+    if required > DYN_EXACT_PATH_BUDGET:
+        raise BudgetError("exact dynamic chain rows", required, DYN_EXACT_PATH_BUDGET)
     return float(_chain_costs(spec, team, classes)[0])
 
 
@@ -1006,7 +993,6 @@ def dynamic_epsilon_estimate(
     rng=None,
     mode: str = "auto",
     deviation_resolution: float = 0.5,
-    candidate_budget: int = DYN_EXACT_CANDIDATE_BUDGET,
 ) -> EpsilonReport:
     """Epsilon certificate for symmetric stage policies at finite sizes.
 
@@ -1016,8 +1002,8 @@ def dynamic_epsilon_estimate(
     it scores the C(N + M - 1, M - 1) multisets of the M = (U^Y)^H
     policies on the count chain, batched by their class sizes, where
     multisets that agree up to a stage share their rows up to it;
-    best_deviations stays (None, None). candidate_budget caps the
-    multisets and DYN_EXACT_PATH_BUDGET the chain rows per team, counted
+    best_deviations stays (None, None). DYN_EXACT_CANDIDATE_BUDGET caps
+    the multisets and DYN_EXACT_PATH_BUDGET the chain rows per team, counted
     per world point, stage and shared stage prefix of each chunk the
     chain runs (_exact_work). Both are checked before any chain row is
     built or any cost evaluated; auto mode is exact when both fit. Monte
@@ -1032,7 +1018,7 @@ def dynamic_epsilon_estimate(
     if mode not in ("auto", "exact", "monte-carlo"):
         raise ModelError(f"unknown mode {mode!r}")
     if mode != "monte-carlo":
-        work = _exact_work(spec, sizes, base, candidate_budget)
+        work = _exact_work(spec, sizes, base)
         over = [row for row in work if row[1] > row[2]]
         if mode == "auto":
             mode = "monte-carlo" if over else "exact"
@@ -1058,7 +1044,7 @@ def dynamic_epsilon_estimate(
             spec.horizon * t_i.observations.size,
             t_i.actions.size,
             steps,
-            MC_DEVIATION_BUDGET,
+            finite_n.MC_DEVIATION_BUDGET,
             "dynamic deviation kernels",
         )
         devs: list[TeamStagePolicies] = [

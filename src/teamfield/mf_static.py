@@ -482,7 +482,6 @@ def grid_fixed_point_search(
     spec: StaticGameSpec,
     resolution: float,
     tie_tol: float = 1e-9,
-    max_candidates: int = GRID_CANDIDATE_BUDGET,
 ) -> list[MFEquilibrium]:
     """Exhaustive scan for approximate mean-field fixed points.
 
@@ -493,8 +492,9 @@ def grid_fixed_point_search(
     variation strictly below the resolution of the candidate at every
     world point. Without ties the rule is the argmin pick; with ties a
     small linear program finds it. Hits come in kernel_grid order of team
-    0's laws, and of team 1's within each. Candidates are scored in array
-    passes of up to GRID_BLOCK at a time.
+    0's laws, and of team 1's within each. Their count is checked against
+    GRID_CANDIDATE_BUDGET first; they are scored in array passes of up to
+    GRID_BLOCK at a time.
 
     Ties with the same team, argmin sets and target share one linear
     program within a call, and a tie whose weak-duality bound already
@@ -508,8 +508,8 @@ def grid_fixed_point_search(
         raise ModelError("tie_tol must be finite and >= 0")
     steps = round(1.0 / resolution)
     total = math.prod(n_compositions(steps, t.actions.size) ** spec.n_world for t in spec.teams)
-    if total > max_candidates:
-        raise BudgetError("grid candidates", total, max_candidates)
+    if total > GRID_CANDIDATE_BUDGET:
+        raise BudgetError("grid candidates", total, GRID_CANDIDATE_BUDGET)
     laws = [kernel_grid(spec.n_world, t.actions.size, steps, total, "grid candidates") for t in spec.teams]
     stats = _statistics(spec, laws)
     screens = [_tie_screen(spec.n_world, t.actions.size) for t in spec.teams]
@@ -556,25 +556,27 @@ def mf_exploitability(
     b1: BehavioralPolicy,
     b2: BehavioralPolicy,
     resolution: float = 0.05,
-    max_candidates: int = DEVIATION_KERNEL_BUDGET,
 ) -> MfExploitability:
     """Best self-consistent deviation gain over a kernel grid.
 
     The deviating team drags its own mean field along (its law re-enters
     its own cost), while the opponent's mean field stays frozen. The grid
     makes this a certificate at the chosen resolution, not an exact
-    exploitability.
+    exploitability. Both teams' kernel counts are checked against
+    DEVIATION_KERNEL_BUDGET before any cost is evaluated.
     """
     if not 0.0 < resolution <= 0.05:
         raise ModelError("resolution must lie in (0, 0.05]")
     steps = round(1.0 / resolution)
     base = [b1, b2]
     laws = [mean_field_action_law(spec, i, base[i]) for i in range(2)]
+    grids = [
+        kernel_grid(t.observations.size, t.actions.size, steps, DEVIATION_KERNEL_BUDGET, "deviation kernels")
+        for t in spec.teams
+    ]
     eps = []
     devs = []
-    for i in range(2):
-        t = spec.teams[i]
-        kernels = kernel_grid(t.observations.size, t.actions.size, steps, max_candidates, "deviation kernels")
+    for i, (t, kernels) in enumerate(zip(spec.teams, grids)):
         cur = mf_cost(spec, i, base[i], MeanFieldProfile(laws=(laws[0], laws[1])))
         pair = list(laws)
         pair[i] = t.obs_kernel @ kernels

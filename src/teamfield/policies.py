@@ -30,7 +30,7 @@ from .core.counts import arrangements
 from .core.errors import BudgetError, ModelError
 from .core.spaces import Kernel
 
-DEFAULT_SUPPORT_CAP = 4096
+SUPPORT_CAP = 4096  # most profiles a mixture's joint law may hold
 
 
 @dataclass(frozen=True, order=True)
@@ -144,11 +144,11 @@ def _det_maps_of(b: BehavioralPolicy) -> list[tuple[float, DetPolicy]]:
     return out
 
 
-def behavioral_to_mixture(b: BehavioralPolicy, n_dms: int, max_support: int = DEFAULT_SUPPORT_CAP) -> TeamPolicy:
+def behavioral_to_mixture(b: BehavioralPolicy, n_dms: int) -> TeamPolicy:
     """Expand an iid behavioral team into an equivalent deterministic mixture."""
     if n_dms < 1:
         raise ModelError("team size must be >= 1")
-    law = _as_profile_law(TeamPolicy.product([b] * n_dms), max_support)
+    law = _as_profile_law(TeamPolicy.product([b] * n_dms), SUPPORT_CAP)
     return TeamPolicy.mixture([(w, profile) for profile, w in law.items()])
 
 
@@ -204,20 +204,20 @@ def _orders(seats: dict[DetPolicy, int]):
             seats[d] += 1
 
 
-def symmetrize(p: TeamPolicy, max_support: int = DEFAULT_SUPPORT_CAP) -> TeamPolicy:
+def symmetrize(p: TeamPolicy) -> TeamPolicy:
     """Average a team policy over all seat permutations: each multiset's
     weight spread evenly over its seat orders, components sorted.
 
     The result costs the same as p against any exchangeable opponent, so
     the team optimum can be searched over exchangeable policies only. Its
-    support is checked against max_support before any order is built.
+    support is checked against SUPPORT_CAP before any order is built.
     """
     if p.kind == "symmetric-iid":
         return p
-    groups = _multisets(_as_profile_law(p, max_support))
+    groups = _multisets(_as_profile_law(p, SUPPORT_CAP))
     support = sum(n for _, n, _ in groups)
-    if support > max_support:
-        raise BudgetError("mixture support", support, max_support)
+    if support > SUPPORT_CAP:
+        raise BudgetError("mixture support", support, SUPPORT_CAP)
     comps = []
     for seats, n, ws in groups:
         share = sum(ws) / n
@@ -227,7 +227,7 @@ def symmetrize(p: TeamPolicy, max_support: int = DEFAULT_SUPPORT_CAP) -> TeamPol
     return TeamPolicy.mixture([(w / total, profile) for w, profile in comps])
 
 
-def is_exchangeable(p: TeamPolicy, tol: float = 1e-9, max_support: int = DEFAULT_SUPPORT_CAP) -> bool:
+def is_exchangeable(p: TeamPolicy, tol: float = 1e-9) -> bool:
     """Whether the profile law lies within total variation tol of symmetrize(p).
 
     Each of a multiset's n seat orders gets W/n there, so the distance sums
@@ -238,7 +238,7 @@ def is_exchangeable(p: TeamPolicy, tol: float = 1e-9, max_support: int = DEFAULT
     if p.kind == "symmetric-iid":
         return True
     tv = 0.0
-    for _, n, ws in _multisets(_as_profile_law(p, max_support)):
+    for _, n, ws in _multisets(_as_profile_law(p, SUPPORT_CAP)):
         share = sum(ws) / n
         tv += sum(abs(w - share) for w in ws) + (n - len(ws)) * share
     return 0.5 * tv <= tol
@@ -310,13 +310,13 @@ def sample_profile(p: TeamPolicy, n_dms: int, rng: np.random.Generator) -> list[
     return [DetPolicy(row) for row in draw(rng.random(width))]
 
 
-def induced_seat_kernel(p: TeamPolicy, seat: int, n_actions: int, max_support: int = DEFAULT_SUPPORT_CAP) -> Kernel:
+def induced_seat_kernel(p: TeamPolicy, seat: int, n_actions: int) -> Kernel:
     """Marginal behavioral rule of one seat under the policy's profile law."""
     if p.kind == "symmetric-iid":
         return p.base.kernel
     if p.kind == "product":
         return p.members[seat].kernel
-    law = _as_profile_law(p, max_support)
+    law = _as_profile_law(p, SUPPORT_CAP)
     n_obs = next(iter(law))[seat].n_obs
     rows = np.zeros((n_obs, n_actions))
     for profile, w in law.items():

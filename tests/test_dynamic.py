@@ -108,11 +108,14 @@ def test_best_response_at_frozen_flows_is_exhaustive_and_right():
         np.testing.assert_allclose(br.policy.kernels[t].rows, [[1.0, 0.0], [1.0, 0.0]])
 
 
-def test_coordinate_descent_fallback_is_flagged():
+def test_coordinate_descent_fallback_is_flagged(monkeypatch):
+    import teamfield.dynamic as dynamic
+
     spec = load_spec(CHAIN)
     pol = _chain_policy(spec, [[0.7, 0.3], [0.7, 0.3]])
     flows = propagate_mf_flow(spec, (pol, pol))
-    br = dynamic_best_response_fixed_flow(spec, 0, flows, budget=3)
+    monkeypatch.setattr(dynamic, "DYN_BR_BUDGET", 3)
+    br = dynamic_best_response_fixed_flow(spec, 0, flows)
     assert not br.exhaustive
     # on this instance the greedy pass still finds the optimum
     assert br.value == pytest.approx(0.3, abs=1e-12)
@@ -239,15 +242,16 @@ def test_simulation_matches_the_episode_oracle_bit_for_bit(case):
 @pytest.mark.parametrize("case", ["crowd", 3])
 def test_simulation_chunks_change_nothing(monkeypatch, case):
     import teamfield.dynamic as dynamic
+    import teamfield.finite_n as finite_n
 
     spec, sizes, seats = _simulation_case(case)
     whole = simulate_finite_n(spec, sizes, (seats[0], seats[1]), 103, 8)
     per_episode = sum(dynamic._episode_uniforms(spec, sizes))
-    assert 103 * per_episode <= dynamic.SIM_CHUNK_UNIFORMS  # the default run is one chunk
+    assert 103 * per_episode <= finite_n.SIM_CHUNK_UNIFORMS  # the default run is one chunk
     for uniforms in (3 * per_episode + 1, 5):  # 3 episodes per chunk, then 1
         calls = []
         run = dynamic._simulate_episodes
-        monkeypatch.setattr(dynamic, "SIM_CHUNK_UNIFORMS", uniforms)
+        monkeypatch.setattr(finite_n, "SIM_CHUNK_UNIFORMS", uniforms)
         monkeypatch.setattr(dynamic, "_simulate_episodes", lambda *a: calls.append(len(a[-1])) or run(*a))
         part = simulate_finite_n(spec, sizes, (seats[0], seats[1]), 103, 8)
         monkeypatch.setattr(dynamic, "_simulate_episodes", run)
@@ -300,11 +304,14 @@ def test_dynamic_epsilon_exact_matches_brute_force_on_chain():
     assert rep.eps[0] == pytest.approx(0.3, abs=1e-12)
 
 
-def test_dynamic_epsilon_exact_budget_guard():
+def test_dynamic_epsilon_exact_budget_guard(monkeypatch):
+    import teamfield.dynamic as dynamic
+
     spec = load_spec(CHAIN)
     pol = _chain_policy(spec, [[0.7, 0.3], [0.7, 0.3]])
+    monkeypatch.setattr(dynamic, "DYN_EXACT_CANDIDATE_BUDGET", 3)
     with pytest.raises(BudgetError):
-        dynamic_epsilon_estimate(spec, (2, 2), (pol, pol), mode="exact", candidate_budget=3)
+        dynamic_epsilon_estimate(spec, (2, 2), (pol, pol), mode="exact")
 
 
 def test_dynamic_epsilon_mc_needs_seed_and_is_deterministic():
@@ -658,12 +665,15 @@ def test_mf_dynamic_cost_matches_forward_pass(seed):
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_coordinate_descent_matches_loop(seed):
+def test_coordinate_descent_matches_loop(monkeypatch, seed):
+    import teamfield.dynamic as dynamic
     from teamfield.dynamic import _flow_tables
 
     _, spec, flows = _random_frozen_flows(seed)
+    exhaustive = [dynamic_best_response_fixed_flow(spec, team, flows) for team in range(2)]
+    monkeypatch.setattr(dynamic, "DYN_BR_BUDGET", 3)
     for team in range(2):
-        br = dynamic_best_response_fixed_flow(spec, team, flows, budget=3)
+        br = dynamic_best_response_fixed_flow(spec, team, flows)
         value, picks = loop_coordinate_descent(spec, team, *_flow_tables(spec, team, flows))
         assert not br.exhaustive
         assert br.value == pytest.approx(value, abs=1e-12)
@@ -671,7 +681,7 @@ def test_coordinate_descent_matches_loop(seed):
         maps = list(itertools.product(range(t.actions.size), repeat=t.observations.size))
         for k, m in zip(br.policy.kernels, picks):
             np.testing.assert_array_equal(k.rows, np.eye(t.actions.size)[list(maps[m])])
-        assert br.value >= dynamic_best_response_fixed_flow(spec, team, flows).value - 1e-12
+        assert br.value >= exhaustive[team].value - 1e-12
 
 
 # -- budgets ------------------------------------------------------------------
@@ -687,6 +697,8 @@ def _count_evaluations(monkeypatch, spec):
 
 
 def test_exact_budgets_raise_before_any_cost_or_transition_call(monkeypatch):
+    import teamfield.dynamic as dynamic
+
     spec = load_spec(CROWD)
     pol = StagePolicy.uniform(spec, 0)
     calls = _count_evaluations(monkeypatch, spec)
@@ -698,11 +710,13 @@ def test_exact_budgets_raise_before_any_cost_or_transition_call(monkeypatch):
     with pytest.raises(BudgetError) as info:
         dynamic_epsilon_estimate(spec, (9, 9), (pol, pol), mode="exact")
     assert info.value.what == "team 0 exact chain rows"
-    with pytest.raises(BudgetError) as info:
-        dynamic_epsilon_estimate(spec, (3, 3), (pol, pol), mode="exact", candidate_budget=19)
+    with monkeypatch.context() as m, pytest.raises(BudgetError) as info:
+        m.setattr(dynamic, "DYN_EXACT_CANDIDATE_BUDGET", 19)
+        dynamic_epsilon_estimate(spec, (3, 3), (pol, pol), mode="exact")
     assert (info.value.what, info.value.required) == ("team 0 deviation multisets", 20)
-    with pytest.raises(BudgetError):
-        exact_dynamic_cost(spec, (3, 3), ([pol] * 3, [pol] * 3), 0, path_budget=10)
+    with monkeypatch.context() as m, pytest.raises(BudgetError):
+        m.setattr(dynamic, "DYN_EXACT_PATH_BUDGET", 10)
+        exact_dynamic_cost(spec, (3, 3), ([pol] * 3, [pol] * 3), 0)
     assert calls == []
     # the same call inside the budgets does evaluate costs
     exact_dynamic_cost(spec, (3, 3), ([pol] * 3, [pol] * 3), 0)
@@ -728,7 +742,7 @@ def test_chain_work_counts_multisets_and_rows():
     # So 18 stage-0 and 36 stage-1 team configurations, each times the
     # opponent's 10: 200 + 54 * 10 = 740 rows. Counting every candidate
     # at every stage gave 200 + 2 * 36 * 10 = 920.
-    work = _exact_work(spec, (2, 2), (pol, pol), DYN_EXACT_CANDIDATE_BUDGET)
+    work = _exact_work(spec, (2, 2), (pol, pol))
     base = 2 * math.comb(5, 3) ** 2
     assert work[0] == ("team 0 deviation multisets", 10, DYN_EXACT_CANDIDATE_BUDGET)
     assert work[1] == ("team 0 exact chain rows", base + (18 + 36) * 10, DYN_EXACT_PATH_BUDGET)
@@ -811,7 +825,7 @@ def test_chain_builds_no_more_rows_than_its_budget_counts(monkeypatch, case):
     monkeypatch.setattr(dynamic, "_chain_costs", tracked_chain)
     monkeypatch.setattr(dynamic, "_keyed_tables", tracked_tables)
     monkeypatch.setattr(dynamic, "_group", tracked_group)
-    work = dynamic._exact_work(spec, sizes, pols, DYN_EXACT_CANDIDATE_BUDGET)
+    work = dynamic._exact_work(spec, sizes, pols)
     required = [r for what, r, _ in work if "rows" in what]
     # counted in full: counting stops only past the budget
     assert len(required) == 2 and max(required) <= DYN_EXACT_PATH_BUDGET

@@ -361,6 +361,17 @@ def test_cli_sweep_summary_counts_rows_per_method(tmp_path, monkeypatch, capsys)
     assert out.read_text() == sweep_csv_text(rows)
 
 
+@pytest.mark.parametrize("command", ["solve-mf", "solve-mf-dyn"])
+def test_cli_solver_flags_default_to_the_solver_config(command):
+    from teamfield.cli import _build_parser
+    from teamfield.mf_static import SolverConfig
+
+    args = _build_parser().parse_args([command, "--spec", "game.json"])
+    for name in ("damping", "tol", "max_iters", "smooth_anneal", "smooth_floor"):
+        assert getattr(args, name) == getattr(SolverConfig, name)
+    assert (args.smooth_init, SolverConfig.smooth_init) == (1.0, 0.0)  # the CLI starts smoothed on purpose
+
+
 @pytest.mark.parametrize("command, spec", [("solve-mf", MISMATCH), ("solve-mf-dyn", CROWD)])
 @pytest.mark.parametrize("floor", ["0", "-0.001"])
 def test_cli_rejects_nonpositive_smooth_floor(command, spec, floor):

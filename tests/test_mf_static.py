@@ -303,8 +303,9 @@ def test_grid_budget_is_checked_before_any_cost_evaluation(monkeypatch):
     spec = load_spec(COORDINATION)
     calls = []
     monkeypatch.setattr(type(spec.teams[0].cost), "table", lambda *args: calls.append(args))
+    monkeypatch.setattr(mf_static, "GRID_CANDIDATE_BUDGET", 100)
     with pytest.raises(BudgetError) as info:
-        grid_fixed_point_search(spec, 0.01, max_candidates=100)
+        grid_fixed_point_search(spec, 0.01)
     assert info.value.required == 101**2
     assert calls == []
 

@@ -219,15 +219,18 @@ def test_sample_profile_respects_mixture_support():
         assert prof[0].actions != prof[1].actions
 
 
-def test_support_cap_guards_blowup():
+def test_support_cap_guards_blowup(monkeypatch):
+    import teamfield.policies as policies
+
     # 8 observations x 2 actions -> 256 deterministic maps per seat,
     # 256^2 profiles blows past a tiny cap
+    monkeypatch.setattr(policies, "SUPPORT_CAP", 100)
     rows = np.full((8, 2), 0.5)
     b = BehavioralPolicy.from_rows(rows)
     with pytest.raises(BudgetError):
-        behavioral_to_mixture(b, 2, max_support=100)
+        behavioral_to_mixture(b, 2)
     with pytest.raises(BudgetError):
-        symmetrize(TeamPolicy.product([b, b]), max_support=100)
+        symmetrize(TeamPolicy.product([b, b]))
 
 
 def test_induced_seat_kernel_of_product():

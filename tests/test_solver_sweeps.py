@@ -169,7 +169,7 @@ def test_a_stage_cost_that_reads_the_world_point():
             tables = world_point_tables(spec, i, flows.joints)
             laws = [(spec.teams[i].obs_kernels[t] @ pols[i].kernels[t].rows)[None] for t in range(spec.horizon)]
             assert mf_dynamic_cost(spec, i, pols[i], flows) == float(_policy_values(spec, i, laws, *tables)[0])
-            br = dynamic_best_response_fixed_flow(spec, i, flows, DYN_BR_BUDGET)
+            br = dynamic_best_response_fixed_flow(spec, i, flows)
             value, picks = loop_best_response(spec, i, *tables)
             assert br.value == pytest.approx(value, abs=1e-12)
             assert br.exhaustive
