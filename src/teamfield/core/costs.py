@@ -14,9 +14,9 @@ Stage costs and transitions are evaluated a table at a time: ``table``
 takes statistics with leading key axes (one key per row of statistics)
 and returns the stage costs over every (state, action), or the rows of
 the controlled kernel over every (state, action, next state). A
-transition may read the same statistics, which is how the mean-field
-coupling enters the dynamics. The scalar ``value`` and ``rows_at`` of
-every family read one entry of a table.
+transition reads only its own team's statistics, which is how the
+mean-field coupling enters the dynamics. The scalar ``value`` and
+``rows_at`` of every family read one entry of a table.
 """
 
 from __future__ import annotations
@@ -392,13 +392,13 @@ class _Transition:
         self.n_states = int(n_states)
         self.n_actions = int(n_actions)
 
-    def rows_at(self, t, x, u, sx1, sx2, su1, su2) -> np.ndarray:
-        return self.table(t, sx1, sx2, su1, su2)[..., x, u, :]
+    def rows_at(self, t, x, u, sx, su) -> np.ndarray:
+        return self.table(t, sx, su)[..., x, u, :]
 
-    def table(self, t, sx1, sx2, su1, su2) -> np.ndarray:
-        """Next-state rows of shape (keys..., X, U, X) at stage t, at
-        statistics with leading key axes; (X, U, X) when statistic-free.
-        Stages past the tables reuse the last one."""
+    def table(self, t, sx, su) -> np.ndarray:
+        """Next-state rows of shape (keys..., X, U, X) at stage t, at the own
+        team's state and action statistics with leading key axes; (X, U, X)
+        when statistic-free. Stages past the tables reuse the last one."""
         return self._tables[min(t, len(self._tables) - 1)]
 
     def raw_rows(self) -> np.ndarray:
@@ -461,8 +461,8 @@ class MeanFieldMixtureTransition(_Transition):
             raise ModelError("mean-field-mixture base table has the wrong shape")
         self._tables = base[None]
 
-    def table(self, t, sx1, sx2, su1, su2):
-        mu = _vector_view(sx1 if self.team == 0 else sx2)
+    def table(self, t, sx, su):
+        mu = _vector_view(sx)
         return (1.0 - self.weight) * self._tables[0] + self.weight * mu[..., None, None, :]
 
 

@@ -379,7 +379,7 @@ def _probe_dynamic_team(spec, i, t, probe_sets) -> str:
     stats = [np.stack(s) for s in zip(*combos)]
     n_x, n_u = t.states.size, t.actions.size
     for stage in range(spec.horizon):
-        rows = np.asarray(t.transition.table(stage, *stats), float)
+        rows = np.asarray(t.transition.table(stage, stats[i], stats[2 + i]), float)
         if rows.shape[-3:] != (n_x, n_u, n_x):
             return f"team {i} transition row has the wrong length"
         rows = np.broadcast_to(rows, (len(combos), n_x, n_u, n_x))

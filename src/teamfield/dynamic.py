@@ -23,22 +23,21 @@ coordinate-descent fallback and the soft update all call it, batched
 over candidate rules per stage and over world points. The soft update
 reads the seat's state law from the flows themselves.
 
-Every path reads stage costs and transitions as tables over (state,
-action), filled by one helper, _stage_tables, for a batch of both
-teams' state and action laws: the flows of a stage at every world point
-at once, the empirical measures of a simulated stage, or the distinct
-count totals of a chain stage.
+The flow and simulation paths read stage costs and transitions as
+tables over (state, action), filled by one helper, _stage_tables, for
+both teams' state and action laws: a stage's flows at every world point,
+or a simulated stage's empirical measures.
 
-The exact finite-team engine is a forward Markov chain on count
-configurations: seats with equal stage kernels form a class, and a
-chain row holds the seat count per (class, state). Costs and
-transitions read only the teams' count totals, so each stage fills its
-tables once per distinct totals, and seats of one class move
-independently given them. Exact epsilon scores many candidate multisets
-in one chain, and candidates whose classes play the same rules up to
-stage t share their rows through stage t: rows belong to stage
-prefixes, which fan out as the stages go, in an order that keeps every
-candidate's sums those of a chain run for it alone.
+The exact finite-team engine runs a forward Markov chain on one team's
+count configurations: seats with equal stage kernels form a class, and
+a row holds the seat count per (class, state). No transition reads the
+other team, so given the world point the teams' chains are independent;
+they meet only in the stage cost, E f(A_t, B_t) = sum_a sum_b P(A_t =
+a) P(B_t = b) f(a, b) over their keys (the state and action totals that
+statistics read). Exact epsilon scores many candidate multisets in one
+chain; candidates whose classes play the same rules up to stage t share
+their rows through stage t, in an order that keeps every candidate's
+sums those of a chain run for it alone.
 """
 
 from __future__ import annotations
@@ -174,14 +173,16 @@ def _stage_tables(spec: DynamicGameSpec, w, t: int, laws):
 
     Returns the cost tables (keys..., X, U) and the transition tables
     (keys..., X, U, X), or (X, U, X) for a statistic-free transition; the
-    transitions are None at the last stage.
+    transitions are None at the last stage. A transition reads only its
+    own team's statistics.
     """
-    (sx1, su1), (sx2, su2) = ((ti.stat_x.apply_raw(mu), ti.stat_u.apply_raw(nu)) for ti, (mu, nu) in zip(spec.teams, laws))
+    stats = [(ti.stat_x.apply_raw(mu), ti.stat_u.apply_raw(nu)) for ti, (mu, nu) in zip(spec.teams, laws)]
+    (sx1, su1), (sx2, su2) = stats
     keys = laws[0][0].shape[:-1]
     costs = [ti.stage_cost.table(w, keys + (ti.states.size, ti.actions.size), sx1, sx2, su1, su2) for ti in spec.teams]
     if t + 1 == spec.horizon:
         return costs, None
-    return costs, [ti.transition.table(t, sx1, sx2, su1, su2) for ti in spec.teams]
+    return costs, [ti.transition.table(t, *st) for ti, st in zip(spec.teams, stats)]
 
 
 def _marginals(joint: np.ndarray):
@@ -227,8 +228,8 @@ def propagate_mf_flow(
 
     Stage t records each team's joint (state, action) law conditional on
     the world point; the statistics of those joints then drive every
-    seat's transition into stage t+1. Both teams advance simultaneously
-    since each team's transition may read the other's flow.
+    seat's transition into stage t+1. Both teams advance together, since
+    each team's stage cost may read the other's flow.
     """
     return FlowProfile(joints=_propagate(spec, [_policy_rows(spec, i, pols[i]) for i in range(2)])[0])
 
@@ -245,11 +246,6 @@ def _stage_map_rows(spec: DynamicGameSpec, team: int) -> np.ndarray:
     ti = spec.teams[team]
     maps = list(itertools.product(range(ti.actions.size), repeat=ti.observations.size))
     return np.eye(ti.actions.size)[maps]
-
-
-def _stage_map_laws(spec: DynamicGameSpec, team: int, t: int) -> np.ndarray:
-    """P(u | x) at stage t of every observation-to-action map, lexicographic: (U^Y, X, U)."""
-    return spec.teams[team].obs_kernels[t] @ _stage_map_rows(spec, team)
 
 
 def _policy_values(spec, team, laws, cost, trans, q=None) -> np.ndarray:
@@ -314,7 +310,7 @@ def _best_response(spec, team, cost, trans, budget) -> DynBrResult:
     """dynamic_best_response_fixed_flow at frozen-flow tables, exhaustive
     when the candidates fit `budget`."""
     rows = _stage_map_rows(spec, team)
-    stages = [_stage_map_laws(spec, team, t) for t in range(spec.horizon)]
+    stages = [spec.teams[team].obs_kernels[t] @ rows for t in range(spec.horizon)]  # P(u | x) of every map
     if len(rows) ** spec.horizon <= budget:
         values = _policy_values(spec, team, stages, cost, trans)
         best = int(np.argmin(values))
@@ -618,31 +614,6 @@ def _group(columns, radices):
     return order[starts], inv
 
 
-def _keyed_tables(spec: DynamicGameSpec, w: int, t: int, totals, n_team):
-    """Stage tables of every chain row, filled once per distinct pair of
-    team totals.
-
-    totals[i] holds team i's seat count per (state, action) cell, one
-    column per row: (X*U, rows). Every statistic a cost or transition
-    reads is a function of the teams' state and action totals, which key
-    the tables. Returns each row's key, both teams' cost tables (keys, X,
-    U), and both teams' transition tables (keys or 1, X, U, X), None at
-    the last stage.
-    """
-    margins, radices = [], []
-    for ti, n, cells in zip(spec.teams, n_team, totals):
-        cells = cells.reshape(ti.states.size, ti.actions.size, -1)
-        margins.append((cells.sum(axis=1, dtype=cells.dtype), cells.sum(axis=0, dtype=cells.dtype)))
-        # radix 1 skips a team's last state and last action totals, which follow from the others
-        radices += [n + 1] * (ti.states.size - 1) + [1] + [n + 1] * (ti.actions.size - 1) + [1]
-    keep, key = _group([col for m in margins for law in m for col in law], radices)
-    laws = [tuple(law[:, keep].T / n for law in m) for n, m in zip(n_team, margins)]
-    cost, trans = _stage_tables(spec, w, t, laws)
-    if trans is not None:
-        trans = [p if p.ndim == 4 else p[None] for p in trans]
-    return key, cost, trans
-
-
 def _move_sure(probs: np.ndarray, which: np.ndarray, seats: np.ndarray, dest: np.ndarray):
     """Move, in place, the seats of every row whose law probs[which] has
     one live cell into that cell's row of dest; such a move has
@@ -670,8 +641,8 @@ def _prefixes(classes, horizon: int):
     one prefix at stage t; their rules are compared as raw bytes. Ids come
     in order of first candidate, and that candidate represents the prefix.
     """
-    n_cand = max(len(law) for _, _, law in classes)
-    rules = np.concatenate([law.reshape(n_cand, horizon, -1) for _, _, law in classes if len(law) == n_cand], axis=2)
+    n_cand = max(len(law) for _, law in classes)
+    rules = np.concatenate([law.reshape(n_cand, horizon, -1) for _, law in classes if len(law) == n_cand], axis=2)
     out = []
     for t in range(horizon):
         flat = np.ascontiguousarray(rules[:, : t + 1]).reshape(n_cand, -1)
@@ -684,55 +655,43 @@ def _prefixes(classes, horizon: int):
     return out
 
 
-def _chain_costs(spec: DynamicGameSpec, team: int, classes) -> np.ndarray:
-    """Expected total cost of `team` for each candidate, by a forward
-    Markov chain on count configurations.
+def _chain(spec: DynamicGameSpec, team: int, classes, stages):
+    """A forward Markov chain on one team's count configurations.
 
-    Each class is (team, seats, law), law of shape (K or 1, H, X, U): the
-    class's P(u | x) per stage for each of K candidates, or shared by all.
-    A chain row is one stage prefix (_prefixes) with its seat count per
-    (class, state): candidates that play the same rules up to stage t
-    share their rows through stage t. Arrays hold one row of counts per
-    (class, state) cell, one column per chain row. Rows start on the
-    stage-0 prefixes; at the start of stage t > 0 each row fans out to
-    the stage-t prefixes that extend its prefix, and each prefix's rows
-    keep its parent's order, so every sum runs in the order a chain of
-    that candidate alone would use. Per stage every (class, state) cell
-    splits its seats over actions, the team totals key the cost and
-    transition tables, and every (class, state, action) cell moves its
-    seats to next states. Cells whose law puts all mass on one outcome
-    move in bulk; the others branch into every multinomial outcome, and
-    rows with equal configurations merge after each branching move and
-    at the end of the stage. Stage costs accumulate per prefix, and a
-    candidate's cost sums its prefixes' stage costs in stage order.
+    Each class is (seats, law), law (K or 1, H, X, U): its P(u | x) per
+    stage for each of K candidates, or shared; stages are their prefixes
+    (_prefixes). A row is one stage prefix with its seat count per (class,
+    state), one column per row. At the start of stage t > 0 each row fans
+    out to the prefixes that extend its own, in its parent's order, so
+    every sum runs as in a chain of that candidate alone. Per stage every
+    (class, state) cell splits its seats over actions, the rows' keys
+    (state and action totals) key the transition tables, and every (class,
+    state, action) cell moves its seats to next states. Sure moves go in
+    bulk; the rest branch into every multinomial outcome, and equal rows
+    merge after each branching move and at the end of the stage.
+
+    Yields per world point w and stage t, after the action split, (w, t,
+    laws, key, totals, p, pre): the state and action laws of the stage's
+    keys, and each row's key, (state, action) totals (X*U, rows),
+    probability and prefix.
     """
-    n_cand = max(len(law) for _, _, law in classes)
-    n_team = [sum(k for j, k, _ in classes if j == i) for i in range(2)]
-    count = np.int16 if max(n_team) < 1 << 15 else np.int32  # holds every seat count and team total
-    dims = [(t.states.size, t.actions.size) for t in spec.teams]
-    n_x = [dims[j][0] for j, _, _ in classes]
-    n_xu = [dims[j][0] * dims[j][1] for j, _, _ in classes]
-    state_at, act_at = np.cumsum([0] + n_x), np.cumsum([0] + n_xu)
-    state_radix = np.repeat([k + 1 for _, k, _ in classes], n_x)
-    act_radix = np.repeat([k + 1 for _, k, _ in classes], n_xu)
-    cells = [(ci, j, x, u) for ci, (j, _, _) in enumerate(classes) for x in range(dims[j][0]) for u in range(dims[j][1])]
-    stages = _prefixes(classes, spec.horizon)
-
-    def team_totals(act, i):
-        """Team i's seat count per (x, u) cell: its classes' act rows summed."""
-        blocks = [act[act_at[ci] : act_at[ci + 1]] for ci, (j, _, _) in enumerate(classes) if j == i]
-        return functools.reduce(np.add, blocks)
-
-    out = np.zeros(n_cand)
+    ti = spec.teams[team]
+    n_x, n_u = ti.states.size, ti.actions.size
+    n = sum(k for k, _ in classes)
+    count = np.int16 if n < 1 << 15 else np.int32  # holds every seat count and team total
+    state_radix = np.repeat([k + 1 for k, _ in classes], n_x)
+    act_radix = np.repeat([k + 1 for k, _ in classes], n_x * n_u)
+    # radix 1 skips the last state and last action totals, which follow from the others
+    key_radix = [n + 1] * (n_x - 1) + [1] + [n + 1] * (n_u - 1) + [1]
+    cells = [(c, x, u) for c in range(len(classes)) for x in range(n_x) for u in range(n_u)]
     for w in range(spec.n_world):
-        init = [(lambda src, k=k: np.full(len(src), k), spec.teams[j].init_kernel[w][None], None) for j, k, _ in classes]
+        init = [(lambda src, k=k: np.full(len(src), k), ti.init_kernel[w][None], None) for k, _ in classes]
         _, p, made = _branch(1, init)
         n_pre = len(stages[0][1])
         state = np.tile(np.concatenate(made).astype(count), (1, n_pre))
         pre, p = np.repeat(np.arange(n_pre), len(p)), np.tile(p, n_pre)
-        acc = np.zeros(n_cand)
         for t in range(spec.horizon):
-            of_cand, rep = stages[t]
+            rep = stages[t][1]
             if t:
                 # fan out: rows come sorted by prefix, and each stage-t prefix copies its parent's block
                 parent = stages[t - 1][0][rep]
@@ -743,57 +702,110 @@ def _chain_costs(spec: DynamicGameSpec, team: int, classes) -> np.ndarray:
             # actions: every (class, state) cell splits its seats by P(u | x)
             act = np.zeros((len(cells), len(p)), dtype=count)
             splits = []
-            for ci, (j, _, law) in enumerate(classes):
-                for x in range(dims[j][0]):
-                    lo = act_at[ci] + x * dims[j][1]
-                    rest = _move_sure(law[:, t, x], which, state[state_at[ci] + x], act[lo : lo + dims[j][1]])
+            for c, (_, law) in enumerate(classes):
+                for x in range(n_x):
+                    lo = (c * n_x + x) * n_u
+                    rest = _move_sure(law[:, t, x], which, state[c * n_x + x], act[lo : lo + n_u])
                     if rest is not None and rest.any():
                         splits.append((lo, rest, law[:, t, x]))
             if splits:
                 src, w_act, made = _branch(len(p), [(lambda src, r=rest: r[src], law, which) for _, rest, law in splits])
                 p, pre, act = p[src] * w_act, pre[src], np.take(act, src, axis=1)
                 for (lo, _, _), counts in zip(splits, made):
-                    act[lo : lo + len(counts)] += counts
-            # costs and transitions: one table entry per distinct pair of team totals
-            totals = [team_totals(act, i) for i in range(2)]
-            inv, cost, trans = _keyed_tables(spec, w, t, totals, n_team)
-            cost = cost[team].reshape(len(cost[team]), -1)
-            stage = functools.reduce(np.add, (n * cost[inv, c] for c, n in enumerate(totals[team])))
-            acc += np.bincount(pre, weights=p * stage / n_team[team], minlength=len(rep))[of_cand]
-            if trans is None:
+                    act[lo : lo + n_u] += counts
+            totals = act.reshape(len(classes), n_x * n_u, -1).sum(axis=0, dtype=count)
+            cube = totals.reshape(n_x, n_u, -1)
+            margins = (cube.sum(axis=1, dtype=count), cube.sum(axis=0, dtype=count))
+            keep, key = _group([*margins[0], *margins[1]], key_radix)
+            laws = tuple(m[:, keep].T / n for m in margins)
+            yield w, t, laws, key, totals, p, pre
+            if t + 1 == spec.horizon:
                 break
+            trans = ti.transition.table(t, ti.stat_x.apply_raw(laws[0]), ti.stat_u.apply_raw(laws[1])).reshape(-1, n_x, n_u, n_x)
             # moves: every (class, state, action) cell spreads its seats over next states
-            nxt = np.zeros((state_at[-1], len(p)), dtype=count)
-            for a, (ci, j, x, u) in enumerate(cells):
+            nxt = np.zeros((len(classes) * n_x, len(p)), dtype=count)
+            for a, (c, x, u) in enumerate(cells):
                 if act[a].any():
-                    dest = nxt[state_at[ci] : state_at[ci + 1]]
-                    rest = _move_sure(trans[j][:, x, u], inv, act[a], dest)
+                    rest = _move_sure(trans[:, x, u], key, act[a], nxt[c * n_x : (c + 1) * n_x])
                     act[a] = 0 if rest is None else rest
             todo = [a for a in range(len(cells)) if act[a].any()]
             rest, rest_radix = act[todo], act_radix[todo]
             for a in todo:
-                ci, j, x, u = cells[a]
-                parent, counts, w_mv = _split(rest[0], trans[j][:, x, u], inv)
+                c, x, u = cells[a]
+                parent, counts, w_mv = _split(rest[0], trans[:, x, u], key)
                 rest, rest_radix = np.take(rest[1:], parent, axis=1), rest_radix[1:]
-                p, nxt, pre, inv = p[parent] * w_mv, np.take(nxt, parent, axis=1), pre[parent], inv[parent]
-                nxt[state_at[ci] : state_at[ci + 1]] += counts
+                p, nxt, pre, key = p[parent] * w_mv, np.take(nxt, parent, axis=1), pre[parent], key[parent]
+                nxt[c * n_x : (c + 1) * n_x] += counts
                 if len(rest):
-                    keep, g = _group([pre, inv, *rest, *nxt], [len(rep), len(cost), *rest_radix, *state_radix])
-                    rest, nxt, pre, inv = np.take(rest, keep, axis=1), np.take(nxt, keep, axis=1), pre[keep], inv[keep]
+                    keep, g = _group([pre, key, *rest, *nxt], [len(rep), len(laws[0]), *rest_radix, *state_radix])
+                    rest, nxt, pre, key = np.take(rest, keep, axis=1), np.take(nxt, keep, axis=1), pre[keep], key[keep]
                     p = np.bincount(g, weights=p)
             keep, g = _group([pre, *nxt], [len(rep), *state_radix])
             p, state, pre = np.bincount(g, weights=p), np.take(nxt, keep, axis=1), pre[keep]
-        out += float(spec.prior[w]) * acc
-    return out
+
+
+def _chain_costs(spec: DynamicGameSpec, team: int, classes, value, records=None) -> np.ndarray:
+    """Expected total cost of `team` for each candidate of `classes`, from
+    the records of its chain (_chain), run here unless given. value(w, t,
+    laws) gives each key's stage cost per (state, action) cell, (keys,
+    X*U); a row's stage cost is its totals times its key's, over the team
+    size. Per world point a candidate sums its prefixes' stage costs in
+    stage order."""
+    stages, n = _prefixes(classes, spec.horizon), sum(k for k, _ in classes)
+    acc = {}
+    for w, t, laws, key, totals, p, pre in records or _chain(spec, team, classes, stages):
+        of_cand, rep = stages[t]
+        cell = value(w, t, laws)[key]
+        stage = functools.reduce(np.add, (a * c for a, c in zip(totals, cell.T))) / n
+        acc[w] = acc.get(w, 0.0) + np.bincount(pre, weights=p * stage, minlength=len(rep))[of_cand]
+    return sum(float(spec.prior[w]) * a for w, a in acc.items())
+
+
+def _stage_value(spec: DynamicGameSpec, team: int, opp_records):
+    """value(w, t, laws) of _chain_costs for `team` against the other
+    team's chain of one candidate, given by its records: a key's stage
+    costs averaged over the other team's law of keys at (w, t), sum_b P(b)
+    cost(a, b). Each key is contracted once, the first time a chain
+    reaches it, in blocks of at most CHAIN_CHUNK_ROWS pairs of keys (one
+    own key at least)."""
+    ti = spec.teams[team]
+    opp = {(w, t): (laws, np.bincount(key, weights=p, minlength=len(laws[0]))) for w, t, laws, key, _, p, _ in opp_records}
+    done = {}
+
+    def value(w, t, laws):
+        seen, ((mu, nu), prob) = done.setdefault((w, t), {}), opp[w, t]
+        codes = [row.tobytes() for row in np.concatenate(laws, axis=1)]
+        new = [k for k, code in enumerate(codes) if code not in seen]
+        step = max(1, CHAIN_CHUNK_ROWS // len(prob))
+        for block in (new[lo : lo + step] for lo in range(0, len(new), step)):
+            pair = [None, None]
+            pair[team], pair[1 - team] = [law[block, None] for law in laws], [mu[None], nu[None]]
+            (sx1, su1), (sx2, su2) = ((tj.stat_x.apply_raw(m), tj.stat_u.apply_raw(v)) for tj, (m, v) in zip(spec.teams, pair))
+            cost = ti.stage_cost.table(w, (len(block), len(prob), ti.states.size, ti.actions.size), sx1, sx2, su1, su2)
+            # a contiguous row per (key, cell), summed pairwise: no key's costs depend on its block
+            cost = np.ascontiguousarray(cost.reshape(len(block), len(prob), -1).transpose(0, 2, 1))
+            seen.update(zip([codes[k] for k in block], (cost * prob).sum(axis=-1)))
+        return np.array([seen[code] for code in codes])
+
+    return value
 
 
 def _team_classes(spec: DynamicGameSpec, team: int, pols: Sequence[StagePolicy]):
-    """Group a team's seats by their stage kernels P(u | x): (team, seats, law) per class, in order of first seat."""
+    """Group a team's seats by their stage kernels P(u | x): (seats, law) per class, in order of first seat."""
     groups: dict[bytes, list] = {}
     for p in pols:
         law = _rule_laws(spec, team, _policy_rows(spec, team, p))
         groups.setdefault(law.tobytes(), [law, 0])[1] += 1
-    return [(team, k, law[None]) for law, k in groups.values()]
+    return [(k, law[None]) for law, k in groups.values()]
+
+
+def _pair_costs(spec: DynamicGameSpec, classes):
+    """Each team's exact cost on its classes against the other team's,
+    and the value (_stage_value) that scored it. Each team's chain runs
+    once, and its records serve both teams."""
+    records = [list(_chain(spec, i, c, _prefixes(c, spec.horizon))) for i, c in enumerate(classes)]
+    values = [_stage_value(spec, i, records[1 - i]) for i in range(2)]
+    return [float(_chain_costs(spec, i, classes[i], values[i], records[i])[0]) for i in range(2)], values
 
 
 def _moves_branch(spec: DynamicGameSpec) -> tuple[bool, bool]:
@@ -819,53 +831,59 @@ def _live_cells(law: np.ndarray) -> np.ndarray:
     return (law > 0.0).sum(axis=(-2, -1))
 
 
-def _chain_work(spec: DynamicGameSpec, classes, branch) -> int:
-    """Rows _chain_costs builds for `classes`, bounded from arithmetic:
-    per world point, stage and stage prefix (_prefixes), the product over
-    classes of _class_rows at the prefix's representative, whose live
-    cells its candidates share, times the stage's passes. Per prefix, the
-    action step builds at most the count vectors over live cells, and the
-    moves at most that many times the next-state vectors. Before the last
-    stage, branching moves split the (class, state, action) cells of every
-    class one at a time, each pass over rows that already carry the
-    earlier cells' next states, and merge them after it."""
-    live = [_live_cells(law) for _, _, law in classes]
-    passes = max(1, sum(spec.teams[j].states.size * spec.teams[j].actions.size for j, _, _ in classes if branch[j]))
-    work = 0
+def _chain_work(spec: DynamicGameSpec, team: int, classes, branch) -> list[int]:
+    """Rows _chain builds for `team`'s classes per stage at one world
+    point, from arithmetic: per stage prefix (_prefixes), the product over
+    classes of _class_rows at its representative, times the passes. Before
+    the last stage branching moves split the (class, state, action) cells
+    one at a time, each pass over the rows the last one merged."""
+    ti = spec.teams[team]
+    passes = len(classes) * ti.states.size * ti.actions.size if branch[team] else 1
+    live = [_live_cells(law) for _, law in classes]
+    work = []
     for t, (_, rep) in enumerate(_prefixes(classes, spec.horizon)):
         rows = 1
-        for (j, k, _), cells in zip(classes, live):
+        for (k, _), cells in zip(classes, live):
             cells = cells[rep if len(cells) > 1 else [0], t]
-            table = [_class_rows(spec, j, k, c, t, branch) for c in range(int(cells.max()) + 1)]
+            table = [_class_rows(spec, team, k, c, t, branch) for c in range(int(cells.max()) + 1)]
             rows = rows * np.array(table, dtype=object)[cells]  # Python ints: exact at any size
-        work += (passes if t + 1 < spec.horizon else 1) * int(rows.sum())
-    return spec.n_world * work
+        work.append((passes if t + 1 < spec.horizon else 1) * int(rows.sum()))
+    return work
+
+
+def _path_work(spec: DynamicGameSpec, team: int, sizes, rows, opp_rows) -> int:
+    """Chain rows plus pairs of keys contracted for `team` over every world
+    point, from its and the other team's rows per stage (_chain_work): a
+    stage has no more keys than rows, nor than state times action totals."""
+    keys = [n_compositions(n, t.states.size) * n_compositions(n, t.actions.size) for n, t in zip(sizes, spec.teams)]
+    pairs = sum(min(r, keys[team]) * min(o, keys[1 - team]) for r, o in zip(rows, opp_rows))
+    return spec.n_world * (sum(rows) + pairs)
 
 
 def _exact_work(spec: DynamicGameSpec, sizes, base) -> list[tuple[str, int, int]]:
     """What exact dynamic epsilon needs, as (what, required, budget) rows.
 
-    Per team: the multisets of n deterministic stage policies,
-    C(n + M - 1, n) with M = (U^Y)^H, against DYN_EXACT_CANDIDATE_BUDGET;
-    then, when those fit, the chain rows (_chain_work) of the base pair
-    and of every deviation chunk the chain runs (_deviation_chunks), per
-    world point, stage and shared stage prefix. Counting stops once the
-    rows pass DYN_EXACT_PATH_BUDGET, so a figure over it is a lower bound.
-    No chain row is built and no cost or transition evaluated.
-    """
+    Per team: the multisets of n deterministic stage policies, C(n + M -
+    1, n) with M = (U^Y)^H, against DYN_EXACT_CANDIDATE_BUDGET; when those
+    fit, the rows of the team's own chains (its base policy's and each
+    deviation chunk's) plus the pairs of keys contracted with the other
+    team's base chain (_path_work), against DYN_EXACT_PATH_BUDGET.
+    Counting stops past it, one size group listed at a time, so a figure
+    over it is a lower bound. Nothing is evaluated."""
     rows = []
     branch = _moves_branch(spec)
-    base_classes = [(j, sizes[j], _team_classes(spec, j, [base[j]])[0][2]) for j in range(2)]
+    base_rows = [_chain_work(spec, i, _team_classes(spec, i, [base[i]] * sizes[i]), branch) for i in range(2)]
     for i, ti in enumerate(spec.teams):
         n_pol = (ti.actions.size**ti.observations.size) ** spec.horizon
         n_sets = n_compositions(sizes[i], n_pol)
         rows.append((f"team {i} deviation multisets", n_sets, DYN_EXACT_CANDIDATE_BUDGET))
         if n_sets > DYN_EXACT_CANDIDATE_BUDGET:
             continue
-        required = _chain_work(spec, base_classes, branch)
-        chunks = _deviation_chunks(spec, i, sizes, [base_classes[1 - i]], branch)
-        while required <= DYN_EXACT_PATH_BUDGET and (classes := next(chunks, None)) is not None:
-            required += _chain_work(spec, classes, branch)
+        built, chunks = base_rows[i], _deviation_chunks(spec, i, sizes, branch)
+        while (required := _path_work(spec, i, sizes, built, base_rows[1 - i])) <= DYN_EXACT_PATH_BUDGET and (
+            classes := next(chunks, None)
+        ) is not None:
+            built = [a + b for a, b in zip(built, _chain_work(spec, i, classes, branch))]
         rows.append((f"team {i} exact chain rows", required, DYN_EXACT_PATH_BUDGET))
     return rows
 
@@ -878,111 +896,95 @@ def exact_dynamic_cost(
 ) -> float:
     """Exact expected team cost of the coupled finite system.
 
-    Seats with equal stage kernels form a class, and the chain runs on the
-    seat counts per (class, state): see _chain_costs. Its size grows with
-    the count vectors of each class, polynomially in the class sizes;
-    DYN_EXACT_PATH_BUDGET caps the rows it may build (_chain_work),
-    checked before anything is built.
-    """
+    Seats with equal stage kernels form a class; each team's chain runs
+    alone on its seat counts per (class, state) (_chain), and the stage
+    costs contract the two teams' laws of keys. DYN_EXACT_PATH_BUDGET caps
+    both teams' chain rows plus the pairs of keys contracted (_path_work),
+    checked before anything is built."""
     check_team(team)
     sizes = (int(team_sizes[0]), int(team_sizes[1]))
     pols = [_seat_policies(spec, i, list(seat_pols[i]), sizes[i]) for i in range(2)]
-    classes = _team_classes(spec, 0, pols[0]) + _team_classes(spec, 1, pols[1])
-    required = _chain_work(spec, classes, _moves_branch(spec))
+    classes = [_team_classes(spec, i, pols[i]) for i in range(2)]
+    rows = [_chain_work(spec, i, classes[i], _moves_branch(spec)) for i in range(2)]
+    required = sum(_path_work(spec, i, sizes, rows[i], rows[1 - i]) for i in range(2))
     if required > DYN_EXACT_PATH_BUDGET:
         raise BudgetError("exact dynamic chain rows", required, DYN_EXACT_PATH_BUDGET)
-    return float(_chain_costs(spec, team, classes)[0])
+    return _pair_costs(spec, classes)[0][team]
 
 
-def _det_stage_policies(spec: DynamicGameSpec, team: int) -> list[StagePolicy]:
-    """Every deterministic stage policy for one seat, lexicographic."""
+def _det_policy_rows(spec: DynamicGameSpec, team: int) -> np.ndarray:
+    """Rule rows of every deterministic stage policy for one seat, lexicographic in its stage maps: (M, H, Y, U)."""
     rows = _stage_map_rows(spec, team)
-    return [StagePolicy.from_rows(rows[list(picks)]) for picks in itertools.product(range(len(rows)), repeat=spec.horizon)]
+    return rows[np.array(list(itertools.product(range(len(rows)), repeat=spec.horizon)), dtype=np.int64)]
 
 
-def _det_policy_laws(spec: DynamicGameSpec, team: int) -> np.ndarray:
-    """P(u | x) per stage of every deterministic stage policy, in the order of _det_stage_policies: (M, H, X, U)."""
-    stages = [_stage_map_laws(spec, team, t) for t in range(spec.horizon)]
-    picks = np.array(list(itertools.product(range(len(stages[0])), repeat=spec.horizon)), dtype=np.int64)
-    return np.stack([law[picks[:, t]] for t, law in enumerate(stages)], axis=1)
+def _partitions(n: int, parts: int, cap: int):
+    """Every sum of at most `parts` positive terms of at most cap each that
+    makes n, largest term first, in descending lexicographic order."""
+    if n == 0:
+        yield ()
+    for first in range(min(n, cap), 0, -1):
+        if first * parts < n:
+            return
+        yield from ((first,) + rest for rest in _partitions(n - first, parts - 1, first))
 
 
-def _multisets_by_sizes(n_pol: int, n: int) -> dict[tuple[int, ...], np.ndarray]:
-    """The rows of core.counts.multisets(n, n_pol), grouped by class sizes.
+def _multisets_by_sizes(n_pol: int, n: int):
+    """The rows of core.counts.multisets(n, n_pol) one group of equal class
+    sizes at a time, in order of first multiset: (sizes, rows), sizes the
+    policies' seat counts, largest first, and rows each multiset's
+    policies in that order, ties by index, in multiset order."""
+    for sizes in _partitions(n, n_pol, n):
+        k = len(sizes)
+        chosen = multisets(k, n_pol - k + 1) + np.arange(k)  # the k policies used, ascending
+        # every distinct order of the sizes over them, built one place at a time
+        vals, left = np.unique(sizes, return_counts=True)
+        orders, left = np.zeros((1, 0), dtype=np.int64), left[None]
+        for _ in range(k):
+            par, v = np.nonzero(left > 0)
+            orders, left = np.column_stack([orders[par], vals[v]]), left[par]
+            left[np.arange(len(par)), v] -= 1
+        seats = chosen[:, np.stack([np.repeat(np.arange(k), o) for o in orders])].reshape(-1, n)
+        rows = chosen[:, np.stack([np.lexsort((np.arange(k), -o)) for o in orders])].reshape(-1, k)
+        yield sizes, rows[np.lexsort(seats.T[::-1])]
 
-    Keys are the seat counts of the policies used, largest first; each
-    row lists a multiset's policies in that order, ties by index. Groups
-    come in order of their first multiset, rows in multiset order.
+
+def _held_rows(spec: DynamicGameSpec, team: int, classes, branch) -> int:
+    """Most chain rows _chain holds at once for one candidate of `team`'s
+    `classes`, each class at its most live cells over the candidates, the
+    largest over stages, from arithmetic. After the action split and every
+    merge, rows differ in their count vectors: at most the product over
+    classes of _class_rows. A branching move splits one (class, state,
+    action) cell at a time; its s seats of a class of k make at most
+    n_compositions(s, X) outcomes a row, on rows whose earlier cells hold
+    at most k - s of that class's next states, so before the merge the
+    class's factor n_compositions(k, X) grows to at most the largest
+    n_compositions(k - s, X) * n_compositions(s, X). The passes run one
+    after another on merged rows and add nothing held at once.
     """
-    sets = multisets(n, n_pol)
-    starts = np.ones(sets.shape, dtype=bool)
-    starts[:, 1:] = sets[:, 1:] != sets[:, :-1]
-    row, col = np.nonzero(starts)  # each class's first seat, row by row
-    slot = np.arange(len(row)) - np.searchsorted(row, row)  # the class's place in its row
-    size = np.zeros((len(sets), min(n, n_pol)), dtype=np.int64)
-    pol = np.full(size.shape, n_pol, dtype=np.int64)
-    size[row, slot] = np.diff(row * n + col, append=sets.size)
-    pol[row, slot] = sets[row, col]
-    by = np.argsort(pol - size * n_pol, axis=1)  # most seats first, ties by index, empty slots last
-    size, pol = np.take_along_axis(size, by, 1), np.take_along_axis(pol, by, 1)
-    order = np.lexsort(size.T[::-1])  # stable: equal sizes keep multiset order
-    cuts = np.flatnonzero((size[order[1:]] != size[order[:-1]]).any(axis=1)) + 1
-    groups = {}
-    for rows in sorted(np.split(order, cuts), key=lambda rows: rows[0]):
-        seats = size[rows[0]][size[rows[0]] > 0]
-        groups[tuple(seats.tolist())] = pol[rows, : len(seats)]
-    return groups
-
-
-def _held_rows(spec: DynamicGameSpec, classes, branch) -> int:
-    """Most chain rows _chain_costs holds at once for one candidate of
-    `classes`, each class at its most live cells over the candidates.
-
-    Pure arithmetic, the largest over stages. After the action split and
-    after every merge, a candidate's rows differ in their count vectors:
-    at most the product over classes of _class_rows. A branching move
-    splits one (class, state, action) cell at a time. Its s seats, of a
-    class of k, make at most n_compositions(s, X) outcomes per row before
-    the merge, on rows whose earlier cells' next states hold at most
-    k - s seats of that class. So a split's rows before their merge are
-    that product with the class's next-state factor n_compositions(k, X)
-    replaced by the largest n_compositions(k - s, X) * n_compositions(s,
-    X). The passes that _chain_work counts run one after another on
-    merged rows, so they add nothing to the rows held at once.
-    """
+    n_x = spec.teams[team].states.size
     most = 0
     for t in range(spec.horizon):
-        sized = [(j, k, int(_live_cells(law).max(axis=0)[t])) for j, k, law in classes]
-        rows = math.prod(_class_rows(spec, j, k, cells, t, branch) for j, k, cells in sized)
+        sized = [(k, int(_live_cells(law).max(axis=0)[t])) for k, law in classes]
+        rows = math.prod(_class_rows(spec, team, k, cells, t, branch) for k, cells in sized)
         most = max(most, rows)
-        if t + 1 < spec.horizon:
-            for j, k, _ in sized:
-                if branch[j]:
-                    n_x = spec.teams[j].states.size
-                    split = max(n_compositions(k - s, n_x) * n_compositions(s, n_x) for s in range(k + 1))
-                    most = max(most, rows // n_compositions(k, n_x) * split)
+        if t + 1 < spec.horizon and branch[team]:
+            for k, _ in sized:
+                split = max(n_compositions(k - s, n_x) * n_compositions(s, n_x) for s in range(k + 1))
+                most = max(most, rows // n_compositions(k, n_x) * split)
     return most
 
 
-def _deviation_chunks(spec: DynamicGameSpec, team: int, sizes, opp_classes, branch):
-    """The classes of every chain call that scores `team`'s deviations
-    against opp_classes: each group of _multisets_by_sizes in chunks of
-    as many candidates as fit CHAIN_CHUNK_ROWS at _held_rows each. A
-    chunk's candidates share their stage prefixes in the chain, so it
-    holds at most that many rows at once."""
-    det = _det_policy_laws(spec, team)
-    for seats, pols in _multisets_by_sizes(len(det), sizes[team]).items():
-        step = max(1, CHAIN_CHUNK_ROWS // _held_rows(spec, [(team, k, det) for k in seats] + opp_classes, branch))
+def _deviation_chunks(spec: DynamicGameSpec, team: int, sizes, branch):
+    """The classes of every chain call that scores `team`'s deviations:
+    each group of _multisets_by_sizes in chunks of as many candidates as
+    fit CHAIN_CHUNK_ROWS at _held_rows each (they share stage prefixes)."""
+    det = _rule_laws(spec, team, _det_policy_rows(spec, team))
+    for seats, pols in _multisets_by_sizes(len(det), sizes[team]):
+        step = max(1, CHAIN_CHUNK_ROWS // _held_rows(spec, team, [(k, det) for k in seats], branch))
         for lo in range(0, len(pols), step):
             chunk = pols[lo : lo + step]
-            yield [(team, k, det[chunk[:, c]]) for c, k in enumerate(seats)] + opp_classes
-
-
-def _best_deviation_cost(spec, team, sizes, opp_classes) -> float:
-    """Least exact cost of `team` over the multisets of its deterministic
-    stage policies, the least over the chain calls of _deviation_chunks."""
-    chunks = _deviation_chunks(spec, team, sizes, opp_classes, _moves_branch(spec))
-    return min(float(_chain_costs(spec, team, classes).min()) for classes in chunks)
+            yield [(k, det[chunk[:, c]]) for c, k in enumerate(seats)]
 
 
 def dynamic_epsilon_estimate(
@@ -997,19 +999,17 @@ def dynamic_epsilon_estimate(
     """Epsilon certificate for symmetric stage policies at finite sizes.
 
     Exact mode scores every joint deterministic seat deviation of the
-    deviating team inside the coupled system. A joint deviation matters
-    only through the multiset of deterministic stage policies it uses, so
-    it scores the C(N + M - 1, M - 1) multisets of the M = (U^Y)^H
-    policies on the count chain, batched by their class sizes, where
-    multisets that agree up to a stage share their rows up to it;
-    best_deviations stays (None, None). DYN_EXACT_CANDIDATE_BUDGET caps
-    the multisets and DYN_EXACT_PATH_BUDGET the chain rows per team, counted
-    per world point, stage and shared stage prefix of each chunk the
-    chain runs (_exact_work). Both are checked before any chain row is
-    built or any cost evaluated; auto mode is exact when both fit. Monte
-    Carlo mode is a lower bound over symmetric stage-kernel grids plus
-    single-seat deterministic deviations, reported with a combined CI
-    halfwidth.
+    deviating team. One matters only through the multiset of the M =
+    (U^Y)^H deterministic stage policies it uses, so the team's own count
+    chain scores the C(N + M - 1, N) multisets, batched by class sizes
+    (multisets that agree up to a stage share their rows up to it),
+    against the other team's base chain, run once; best_deviations stays
+    (None, None). DYN_EXACT_CANDIDATE_BUDGET caps the multisets and
+    DYN_EXACT_PATH_BUDGET each team's chain rows plus pairs of keys
+    contracted (_exact_work), both checked before any row is built or
+    cost evaluated; auto mode is exact when both fit. Monte Carlo mode is
+    a lower bound over symmetric stage-kernel grids plus single-seat
+    deterministic deviations, reported with a combined CI halfwidth.
     """
     sizes = (int(team_sizes[0]), int(team_sizes[1]))
     base = (pols[0], pols[1])
@@ -1026,12 +1026,11 @@ def dynamic_epsilon_estimate(
             raise BudgetError(*over[0])
 
     if mode == "exact":
+        cur, values = _pair_costs(spec, [_team_classes(spec, i, [base[i]] * sizes[i]) for i in range(2)])
         eps = []
         for i in range(2):
-            opp = [(1 - i, sizes[1 - i], law) for _, _, law in _team_classes(spec, 1 - i, [base[1 - i]])]
-            own = [(i, sizes[i], law) for _, _, law in _team_classes(spec, i, [base[i]])]
-            cur = float(_chain_costs(spec, i, own + opp)[0])
-            eps.append(cur - _best_deviation_cost(spec, i, sizes, opp))
+            chunks = _deviation_chunks(spec, i, sizes, _moves_branch(spec))
+            eps.append(cur[i] - min(float(_chain_costs(spec, i, c, values[i]).min()) for c in chunks))
         return EpsilonReport(eps=(eps[0], eps[1]), best_deviations=(None, None), method="exact", ci_halfwidth=0.0)
 
     if rng is None:
@@ -1051,7 +1050,7 @@ def dynamic_epsilon_estimate(
             StagePolicy.from_rows(rows.reshape(spec.horizon, t_i.observations.size, -1)) for rows in grid
         ]
         if sizes[i] > 1:
-            devs += [[det] + [base[i]] * (sizes[i] - 1) for det in _det_stage_policies(spec, i)]
+            devs += [[StagePolicy.from_rows(det)] + [base[i]] * (sizes[i] - 1) for det in _det_policy_rows(spec, i)]
         cands.append(devs)
 
     def cost(pair, team, r, s):

@@ -11,11 +11,11 @@ and symmetrization and exchangeability by looping over all n! seat
 permutations. None of it shares code with the package's count-class,
 count-chain, multiset, batched cost and batched sampling paths, which is
 the point. The exceptions are engines the package replaced and keeps
-pinned bit for bit: the row-by-row tie LP builder, the row-by-row
-mean-field profile check, the count chain that ran every candidate
-on rows of its own (candidate_chain_costs), which still calls the
-chain's split and grouping helpers, and the solver sweeps that damped
-one matrix at a time with one TV call per row
+pinned: the row-by-row tie LP builder, the row-by-row mean-field profile
+check, the joint two-team count chain that ran every candidate on rows
+of its own (candidate_chain_costs, pinned to 1e-12, the rest bit for
+bit), which still calls the chain's split and grouping helpers, and the
+solver sweeps that damped one matrix at a time with one TV call per row
 (damped_fixed_point_loops) and, in the dynamic solver, built StagePolicy
 objects and filled the stage tables one (stage, world point) at a time
 (dynamic_solver_sweeps), which still call the package's table, backward
@@ -580,7 +580,7 @@ def seat_exact_dynamic_cost(spec, team_sizes, seat_pols, team):
                     nxt_branches = []
                     for k, x in enumerate(config):
                         row = np.asarray(
-                            spec.teams[seat_team[k]].transition.rows_at(t, x, us[k], sx1, sx2, su1, su2), dtype=float
+                            spec.teams[seat_team[k]].transition.rows_at(t, x, us[k], *stats[seat_team[k]]), dtype=float
                         )
                         nxt_branches.append([(z, row[z]) for z in np.flatnonzero(row)])
                     for joint_x in itertools.product(*nxt_branches):
@@ -595,14 +595,43 @@ def seat_exact_dynamic_cost(spec, team_sizes, seat_pols, team):
     return math.fsum(per_world)
 
 
+def _keyed_tables(spec, w, t, totals, n_team):
+    """Stage tables of every joint chain row, filled once per distinct pair
+    of team totals: the two-team keying the joint chain used.
+
+    totals[i] holds team i's seat count per (state, action) cell, one
+    column per row: (X*U, rows). Every statistic a cost or transition
+    reads is a function of the teams' state and action totals, which key
+    the tables. Returns each row's key, both teams' cost tables (keys, X,
+    U), and both teams' transition tables (keys or 1, X, U, X), None at
+    the last stage.
+    """
+    from teamfield.dynamic import _group, _stage_tables
+
+    margins, radices = [], []
+    for ti, n, cells in zip(spec.teams, n_team, totals):
+        cells = cells.reshape(ti.states.size, ti.actions.size, -1)
+        margins.append((cells.sum(axis=1, dtype=cells.dtype), cells.sum(axis=0, dtype=cells.dtype)))
+        # radix 1 skips a team's last state and last action totals, which follow from the others
+        radices += [n + 1] * (ti.states.size - 1) + [1] + [n + 1] * (ti.actions.size - 1) + [1]
+    keep, key = _group([col for m in margins for law in m for col in law], radices)
+    laws = [tuple(law[:, keep].T / n for law in m) for n, m in zip(n_team, margins)]
+    cost, trans = _stage_tables(spec, w, t, laws)
+    if trans is not None:
+        trans = [p if p.ndim == 4 else p[None] for p in trans]
+    return key, cost, trans
+
+
 def candidate_chain_costs(spec, team, classes):
     """Expected total cost of `team` for each candidate, by a forward
     Markov chain on count configurations, every candidate on rows of its
     own from stage 0.
 
-    The count chain before candidates shared their stage prefixes; it
-    reuses the package's split, branch, grouping and table helpers, and
-    is what the prefix chain must reproduce bit for bit.
+    The count chain before candidates shared their stage prefixes and
+    before each team ran a chain of its own: a row holds both teams'
+    classes, and the tables are keyed on both teams' totals
+    (_keyed_tables). It reuses the package's split, branch, grouping and
+    table helpers. The one-team chains must reproduce it to 1e-12.
 
     Each class is (team, seats, law), law of shape (K or 1, H, X, U): the
     class's P(u | x) per stage for each of K candidates, or shared by all.
@@ -616,7 +645,7 @@ def candidate_chain_costs(spec, team, classes):
     configurations merge after each branching move and at the end of the
     stage.
     """
-    from teamfield.dynamic import _branch, _group, _keyed_tables, _move_sure, _split
+    from teamfield.dynamic import _branch, _group, _move_sure, _split
 
     n_cand = max(len(law) for _, _, law in classes)
     n_team = [sum(k for j, k, _ in classes if j == i) for i in range(2)]
@@ -706,15 +735,15 @@ def candidate_dynamic_epsilon(spec, team_sizes, pols):
     """Exact dynamic epsilon over multisets of deterministic stage
     policies, every multiset of a size group scored in one call of
     candidate_chain_costs."""
-    from teamfield.dynamic import _det_policy_laws, _team_classes
+    from teamfield.dynamic import _det_policy_rows, _rule_laws, _team_classes
 
     sizes = (int(team_sizes[0]), int(team_sizes[1]))
     eps = []
     for i in range(2):
-        opp = [(1 - i, sizes[1 - i], law) for _, _, law in _team_classes(spec, 1 - i, [pols[1 - i]])]
-        own = [(i, sizes[i], law) for _, _, law in _team_classes(spec, i, [pols[i]])]
+        opp = [(1 - i, sizes[1 - i], law) for _, law in _team_classes(spec, 1 - i, [pols[1 - i]])]
+        own = [(i, sizes[i], law) for _, law in _team_classes(spec, i, [pols[i]])]
         cur = float(candidate_chain_costs(spec, i, own + opp)[0])
-        det = _det_policy_laws(spec, i)
+        det = _rule_laws(spec, i, _det_policy_rows(spec, i))
         best = min(
             float(candidate_chain_costs(spec, i, [(i, k, det[picks[:, c]]) for c, k in enumerate(seats)] + opp).min())
             for seats, picks in multisets_by_sizes(len(det), sizes[i]).items()
@@ -976,9 +1005,8 @@ def episode_simulation(spec, team_sizes, seat_pols, reps, seed):
                 for x, u in zip(xs[i], us[i]):
                     joint[x, u] += 1.0
                 joints.append(joint / team_sizes[i])
-            (sx1, su1), (sx2, su2) = (
-                (t.stat_x.apply_raw(j.sum(axis=1)), t.stat_u.apply_raw(j.sum(axis=0))) for t, j in zip(spec.teams, joints)
-            )
+            stats = [(t.stat_x.apply_raw(j.sum(axis=1)), t.stat_u.apply_raw(j.sum(axis=0))) for t, j in zip(spec.teams, joints)]
+            (sx1, su1), (sx2, su2) = stats
             for i, t in enumerate(spec.teams):
                 acc[i][w0, stage] += joints[i]
                 for x in range(t.states.size):
@@ -989,7 +1017,7 @@ def episode_simulation(spec, team_sizes, seat_pols, reps, seed):
                 break
             for i, t in enumerate(spec.teams):
                 r = g.random(team_sizes[i])
-                rows = [t.transition.rows_at(stage, x, u, sx1, sx2, su1, su2) for x, u in zip(xs[i], us[i])]
+                rows = [t.transition.rows_at(stage, x, u, *stats[i]) for x, u in zip(xs[i], us[i])]
                 xs[i] = [_pick(row, float(v)) for row, v in zip(rows, r)]
         counts[w0] += 1
         for i in range(2):

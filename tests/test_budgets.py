@@ -231,13 +231,13 @@ def _dyn_exact_path_budget(monkeypatch, capsys):
 
 def _chain_chunk_rows(monkeypatch, capsys):
     spec = load_spec(CROWD)
-    chains = _calls(monkeypatch, dynamic, "_chain_costs")
+    chains = _calls(monkeypatch, dynamic, "_chain")
     whole = dynamic_epsilon_estimate(spec, (2, 2), _crowd_pair(spec), mode="exact")
     calls = len(chains)
-    monkeypatch.setattr(dynamic, "CHAIN_CHUNK_ROWS", 1)  # one candidate per chain call
+    monkeypatch.setattr(dynamic, "CHAIN_CHUNK_ROWS", 1)  # one candidate per chain call, one key per contraction
     part = dynamic_epsilon_estimate(spec, (2, 2), _crowd_pair(spec), mode="exact")
-    assert len(chains) - calls == 2 * (1 + 10)  # per team: the base pair, then 10 multisets
-    assert calls < 2 * (1 + 10)
+    assert len(chains) - calls == 2 + 2 * 10  # each team's base policy once, then 10 multisets per team
+    assert calls < 2 + 2 * 10
     assert part.eps == whole.eps
 
 

@@ -114,20 +114,20 @@ def test_static_action_stage_cost_wraps_static_family():
 def test_fixed_transition_shared_and_per_stage():
     rows = [[[0.5, 0.5], [0.0, 1.0]], [[1.0, 0.0], [0.3, 0.7]]]
     tr = make_transition({"family": "fixed", "params": {"rows": rows}}, 0, 2, 2)
-    assert tr.rows_at(0, 1, 1, None, None, None, None).tolist() == [0.3, 0.7]
-    assert tr.rows_at(5, 1, 1, None, None, None, None).tolist() == [0.3, 0.7]
+    assert tr.rows_at(0, 1, 1, None, None).tolist() == [0.3, 0.7]
+    assert tr.rows_at(5, 1, 1, None, None).tolist() == [0.3, 0.7]
 
     per_stage = [rows, [[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]]]
     tr2 = make_transition({"family": "fixed", "params": {"rows": per_stage}}, 0, 2, 2)
-    assert tr2.rows_at(0, 0, 0, None, None, None, None).tolist() == [0.5, 0.5]
-    assert tr2.rows_at(1, 0, 0, None, None, None, None).tolist() == [1.0, 0.0]
+    assert tr2.rows_at(0, 0, 0, None, None).tolist() == [0.5, 0.5]
+    assert tr2.rows_at(1, 0, 0, None, None).tolist() == [1.0, 0.0]
     # stages past the table reuse the last entry
-    assert tr2.rows_at(9, 0, 0, None, None, None, None).tolist() == [1.0, 0.0]
+    assert tr2.rows_at(9, 0, 0, None, None).tolist() == [1.0, 0.0]
 
 
 def test_state_copies_action_transition():
     tr = make_transition({"family": "state-copies-action"}, 0, 2, 2)
-    assert tr.rows_at(0, 0, 1, None, None, None, None).tolist() == [0.0, 1.0]
+    assert tr.rows_at(0, 0, 1, None, None).tolist() == [0.0, 1.0]
     with pytest.raises(ModelError):
         make_transition({"family": "state-copies-action"}, 0, 3, 2)
 
@@ -138,7 +138,7 @@ def test_mean_field_mixture_transition_tilts_toward_flow():
         {"family": "mean-field-mixture", "params": {"base": base, "weight": 0.5}}, 0, 2, 2
     )
     mu = np.array([0.2, 0.8])
-    row = tr.rows_at(0, 0, 0, mu, None, None, None)
+    row = tr.rows_at(0, 0, 0, mu, None)
     assert row.tolist() == pytest.approx([0.6, 0.4])
     with pytest.raises(ModelError):
         make_transition(
@@ -221,10 +221,10 @@ def test_tables_match_scalar_reads_bit_for_bit(keys, kind):
                         assert table[idx + (x, u)] == inner.value(1, u, stats[2], stats[3])
     for tr in transitions:
         for t in range(3):
-            table = tr.table(t, *batch)
+            table = tr.table(t, batch[tr.team], batch[2 + tr.team])  # the own team's statistics
             assert table.shape == ((tr.n_states, tr.n_actions, tr.n_states) if tr.statistic_free else keys + (n_x, n_u, n_x))
             table = np.broadcast_to(table, keys + table.shape[-3:])
             for idx in np.ndindex(keys):
                 stats = lone(idx)
                 for x, u in np.ndindex(tr.n_states, tr.n_actions):
-                    np.testing.assert_array_equal(table[idx + (x, u)], tr.rows_at(t, x, u, *stats))
+                    np.testing.assert_array_equal(table[idx + (x, u)], tr.rows_at(t, x, u, stats[tr.team], stats[2 + tr.team]))

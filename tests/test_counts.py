@@ -32,7 +32,7 @@ def test_multisets_list_combinations_with_replacement_in_order(m, n):
 
 @pytest.mark.parametrize("m, n", [(1, 3), (4, 9), (16, 5), (81, 3)])
 def test_multisets_by_sizes_match_the_itertools_grouping(m, n):
-    got, want = _multisets_by_sizes(m, n), multisets_by_sizes(m, n)
+    got, want = dict(_multisets_by_sizes(m, n)), multisets_by_sizes(m, n)
     assert list(got) == list(want)  # the same size groups, in the same order
     for seats, rows in want.items():
         assert got[seats].dtype == rows.dtype
